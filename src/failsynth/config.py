@@ -93,7 +93,24 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _build(cls, data: dict):
+_SECTIONS = {"scene": SceneConfig, "perturb": PerturbConfig,
+             "verifier": VerifierConfig, "tracks": TrackScoreConfig,
+             "label": LabelConfig, "trigger": TriggerConfig}
+
+# JSON types accepted per annotated field type; tuples hold numbers.
+_NUMBER = (int, float)
+_ACCEPTS = {"int": int, "float": _NUMBER, "str": str, "dict": dict,
+            "tuple": (list, tuple)}
+
+
+def _of_type(v, types) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+def _build(cls, data):
+    if not isinstance(data, dict):
+        raise SchemaError(f"{cls.__name__} must be a JSON object, "
+                          f"got {type(data).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
@@ -103,11 +120,13 @@ def _build(cls, data: dict):
         if f.name not in data:
             continue
         v = data[f.name]
-        sub = {"scene": SceneConfig, "perturb": PerturbConfig,
-               "verifier": VerifierConfig, "tracks": TrackScoreConfig,
-               "label": LabelConfig, "trigger": TriggerConfig}.get(f.name)
+        sub = _SECTIONS.get(f.name)
         if sub is not None:
             v = _build(sub, v)
+        elif not _of_type(v, _ACCEPTS[f.type]) or (
+                f.type == "tuple" and not all(_of_type(x, _NUMBER) for x in v)):
+            raise SchemaError(f"{cls.__name__}.{f.name} must be of type {f.type}, "
+                              f"got {json.dumps(v)}")
         elif isinstance(v, list):
             v = tuple(v)
         kwargs[f.name] = v
@@ -116,7 +135,10 @@ def _build(cls, data: dict):
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Load a JSON config file (all keys optional) plus CLI overrides."""
-    data = read_json(path) if path else {}
+    try:
+        data = read_json(path) if path else {}
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("config file must contain a JSON object")
     data.update(overrides or {})

@@ -183,7 +183,7 @@ class Rollout:
         return np.array([s.gripper for s in self.states])
 
     def poses(self) -> np.ndarray:
-        return np.stack([s.pose() for s in self.states])
+        return np.array([(s.x, s.y, s.z, s.roll, s.pitch, s.yaw) for s in self.states])
 
     def check_step_bound(self, max_step: float) -> None:
         """Reject per-step deltas beyond the configured magnitude bound."""
@@ -224,4 +224,14 @@ def state_diff(rollout: Rollout, t: int, d: int) -> np.ndarray:
     b = rollout.states[t + d].pose()
     out = b - a
     out[3:] = wrap_angle(out[3:])
+    return out
+
+
+def state_diffs(rollout: Rollout, d: int) -> np.ndarray:
+    """state_diff(rollout, t, d) for every t in 0..T-d, stacked (T-d+1, 6)."""
+    if not 0 <= d <= rollout.horizon:
+        raise ValidationError(f"d={d} out of range for horizon {rollout.horizon}")
+    poses = rollout.poses()
+    out = poses[d:] - poses[:len(poses) - d]
+    out[:, 3:] = wrap_angle(out[:, 3:])
     return out

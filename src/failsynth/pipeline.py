@@ -195,59 +195,71 @@ def _verify_worker(args):
     return rollout_to_record(_with_observations(cand, cfg))
 
 
+def _check_accounting(manifest: dict) -> None:
+    """Every candidate is retained, rejected or quarantined, exactly once."""
+    total = manifest["retained"] + manifest["rejected"] + manifest["quarantined"]
+    if total != manifest["generated"]:
+        raise ValidationError(
+            f"verify accounting broken: retained + rejected + quarantined = "
+            f"{total}, generated = {manifest['generated']}")
+
+
 def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
                manifest_path=None) -> dict:
     """Run the four-verifier gate over a candidate file."""
     idm_calib, joint_calib, gt_stats = load_calibrations(calib_path)
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
     client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
-    records = list(read_records(candidates_path))
+    try:
+        records = list(read_records(candidates_path))
 
-    if cfg.workers > 1:
-        cfg_dict = cfg.to_dict()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            observed = list(pool.map(_verify_worker,
-                                     [(rec, cfg_dict) for rec in records]))
-        candidates = [rollout_from_record(rec) for rec in observed]
-    else:
-        candidates = [_with_observations(rollout_from_record(rec), cfg)
-                      for rec in records]
-
-    retained_records = []
-    counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
-              "joint": 0, "track": 0}
-    quarantined = rejected = 0
-    gen_scores, gen_mae, gen_exceed = [], [], []
-    for rec, cand in zip(records, candidates):
-        try:
-            report = verify_rollout(cand, None, predictor, idm_calib, joint_calib,
-                                    client, cfg.tracks)
-        except TransportError as exc:
-            log.warning("quarantining %s: %s", cand.id, exc)
-            quarantined += 1
-            continue
-        if not report.semantic_valid_failure:
-            counts["semantic_validity"] += 1
-        if not report.semantic_visual_ok:
-            counts["semantic_visual"] += 1
-        if not report.idm_pass:
-            counts["idm"] += 1
-        if not report.joint_pass:
-            counts["joint"] += 1
-        if not report.track_pass:
-            counts["track"] += 1
-        if report.track_scores is not None:
-            gen_scores.append(report.track_scores)
-        gen_mae.append((report.idm_mae_xyz, report.idm_mae_rpy))
-        gen_exceed.append(joint_exceedance(cand.joints, joint_calib))
-        if report.retained:
-            out = dict(rec)
-            meta = dict(out.get("meta", {}))
-            meta["verifier"] = report.to_dict()
-            out["meta"] = meta
-            retained_records.append(out)
+        if cfg.workers > 1:
+            cfg_dict = cfg.to_dict()
+            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                observed = list(pool.map(_verify_worker,
+                                         [(rec, cfg_dict) for rec in records]))
+            candidates = [rollout_from_record(rec) for rec in observed]
         else:
-            rejected += 1
+            candidates = [_with_observations(rollout_from_record(rec), cfg)
+                          for rec in records]
+
+        retained_records = []
+        counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
+                  "joint": 0, "track": 0}
+        quarantined = rejected = 0
+        gen_scores, gen_mae, gen_exceed = [], [], []
+        for rec, cand in zip(records, candidates):
+            try:
+                report = verify_rollout(cand, None, predictor, idm_calib, joint_calib,
+                                        client, cfg.tracks)
+            except TransportError as exc:
+                log.warning("quarantining %s: %s", cand.id, exc)
+                quarantined += 1
+                continue
+            if not report.semantic_valid_failure:
+                counts["semantic_validity"] += 1
+            if not report.semantic_visual_ok:
+                counts["semantic_visual"] += 1
+            if not report.idm_pass:
+                counts["idm"] += 1
+            if not report.joint_pass:
+                counts["joint"] += 1
+            if not report.track_pass:
+                counts["track"] += 1
+            if report.track_scores is not None:
+                gen_scores.append(report.track_scores)
+            gen_mae.append((report.idm_mae_xyz, report.idm_mae_rpy))
+            gen_exceed.append(joint_exceedance(cand.joints, joint_calib))
+            if report.retained:
+                out = dict(rec)
+                meta = dict(out.get("meta", {}))
+                meta["verifier"] = report.to_dict()
+                out["meta"] = meta
+                retained_records.append(out)
+            else:
+                rejected += 1
+    finally:
+        client.close()
     write_records(out_path, retained_records)
     generated = len(records)
     gen_stats = {
@@ -271,7 +283,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
         "stats": {"generated": gen_stats, "ground_truth": gt_stats},
         "config_hash": cfg.config_hash(),
     }
-    assert manifest["retained"] + rejected + quarantined == generated
+    _check_accounting(manifest)
     if manifest_path:
         write_json(manifest_path, manifest)
     return manifest

@@ -51,6 +51,9 @@ class MockSemanticVerifier:
     def judge(self, request: dict) -> dict:
         return mock_judgment(request, self.floors)
 
+    def close(self):
+        pass
+
 
 class PipeClient:
     """Line-delimited JSON over a subprocess pipe.
@@ -83,9 +86,14 @@ class PipeClient:
             raise TransportError(f"judge sent invalid JSON: {line!r}") from exc
 
     def close(self):
-        if self.proc.poll() is None:
+        """Close the judge's pipes and reap it; kill it if it lingers."""
+        try:
             self.proc.stdin.close()
             self.proc.wait(timeout=5)
+        except (OSError, subprocess.TimeoutExpired):
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
 
 class HttpClient:
@@ -106,6 +114,9 @@ class HttpClient:
                 return json.loads(resp.read().decode())
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             raise TransportError(f"judge endpoint failed: {exc}") from exc
+
+    def close(self):
+        pass
 
 
 def client_from_endpoint(endpoint: str, floors: Optional[dict] = None):

@@ -72,19 +72,34 @@ def _clip01(v: float) -> float:
     return float(min(1.0, max(0.0, v)))
 
 
+def _norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Lengths of the vectors (x, y), bit for bit np.linalg.norm's, without
+    its slow reduction over a length-2 axis."""
+    return np.sqrt(x ** 2 + y ** 2)
+
+
+def _row_medians(values, valid):
+    """np.median of each row's valid entries; inf for a row with none.
+
+    Invalid entries sort last as inf, and the median is the mean of the two
+    middle valid values (one value twice when the count is odd), as np.median
+    takes it.
+    """
+    xs = np.sort(np.where(valid, values, np.inf), axis=1)
+    k = np.count_nonzero(valid, axis=1)
+    rows = np.arange(xs.shape[0])
+    return (xs[rows, (k - 1) // 2] + xs[rows, k // 2]) / 2.0
+
+
 def _smoothness(points, masks, cfg: TrackScoreConfig) -> float:
     acc = points[:, 2:] - 2.0 * points[:, 1:-1] + points[:, :-2]
     valid = masks[:, 2:] & masks[:, 1:-1] & masks[:, :-2]
-    mag = np.linalg.norm(acc, axis=2)
+    mag = _norm2(acc[..., 0], acc[..., 1])
     pooled = mag[valid]
     if pooled.size == 0:
         return 0.0
     q = quantile_sorted(pooled, cfg.acc_quantile)
-    med = np.full(mag.shape[0], np.inf)
-    for i in range(mag.shape[0]):
-        vi = mag[i][valid[i]]
-        if vi.size:
-            med[i] = np.median(vi)
+    med = _row_medians(mag, valid)
     # the absolute floor keeps intentional keypoint motion (near-zero median
     # acceleration on mostly-stationary tracks) from registering as transients
     thr = np.maximum(cfg.spike_ratio * med, cfg.spike_floor)
@@ -102,21 +117,23 @@ def _visibility(masks) -> float:
 
 def _topology(points, masks, cfg: TrackScoreConfig) -> float:
     vis0 = np.nonzero(masks[:, 0])[0]
-    if vis0.size < cfg.knn_k + 1:
+    n0 = vis0.size
+    if n0 < cfg.knn_k + 1:
         return 0.0
-    p0 = points[vis0, 0]
-    dmat = np.linalg.norm(p0[:, None] - p0[None, :], axis=2)
+    x, y = points[..., 0], points[..., 1]
+    x0, y0 = x[vis0, 0], y[vis0, 0]
+    dmat = _norm2(x0[:, None] - x0, y0[:, None] - y0)
     np.fill_diagonal(dmat, np.inf)
-    edges = set()
-    order = np.argsort(dmat, axis=1)
-    for a in range(p0.shape[0]):
-        for b in order[a, :cfg.knn_k]:
-            edges.add((min(a, int(b)), max(a, int(b))))
-    edges = sorted(edges)
-    ia = vis0[[e[0] for e in edges]]
-    ib = vis0[[e[1] for e in edges]]
-    d0 = np.linalg.norm(points[ia, 0] - points[ib, 0], axis=1)
-    dt = np.linalg.norm(points[ia, 1:] - points[ib, 1:], axis=2)
+    # argsort's own tie order picks among the regular grid's equidistant
+    # neighbours, so the edge set depends on this exact call
+    near = np.argsort(dmat, axis=1)[:, :cfg.knn_k]
+    here = np.arange(n0)[:, None]
+    # undirected edges (min, max) as sorted unique keys min * n0 + max
+    keys = np.unique(np.minimum(here, near) * n0 + np.maximum(here, near))
+    ia = vis0[keys // n0]
+    ib = vis0[keys % n0]
+    dist = _norm2(x[ia] - x[ib], y[ia] - y[ib])
+    d0, dt = dist[:, 0], dist[:, 1:]
     both = masks[ia, 1:] & masks[ib, 1:]
     u = np.abs(dt - d0[:, None]) / (d0[:, None] + cfg.eps)
     pooled = u[both]
@@ -136,41 +153,76 @@ def fit_affine(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, float]:
     return theta, rmse
 
 
-def _robust_affine(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, float]:
-    """Affine fit with one residual-trimmed refit.
+# Smallest eigenvalue ratio lmin / lmax of a pair's centred 2x2 normal
+# equations that are solved directly; below it (near-collinear points) the
+# squared conditioning could cost more than 1e-10 against lstsq, which fits
+# such a pair instead.
+_MIN_EIG_RATIO = 1e-6
 
-    Independently moving keypoints are outliers to the dominant (static-scene)
-    frame-to-frame transform; dropping them isolates the continuity of the
-    global motion from legitimate object motion.
+
+def _affine_fits(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Batched fit_affine: one (3, 2) theta per row, fitted over its w points.
+
+    src and dst are (F, 2, M) coordinate planes and w is (F, M) bool with at
+    least 3 points per row. Each row is centred on its weighted means and
+    solved through its 2x2 normal equations; a near-singular row (e.g.
+    collinear points) is fitted by fit_affine's lstsq instead.
     """
-    theta, rmse = fit_affine(src, dst)
-    X = np.concatenate([src, np.ones((src.shape[0], 1))], axis=1)
-    resid = np.linalg.norm(X @ theta - dst, axis=1)
-    keep = resid <= 3.0 * np.median(resid) + 1e-9
-    if 3 <= np.count_nonzero(keep) < src.shape[0]:
-        theta, rmse = fit_affine(src[keep], dst[keep])
-    return theta, rmse
+    wf = w[:, None, :].astype(float)
+    cnt = wf.sum(axis=2, keepdims=True)
+    cs = (src * wf).sum(axis=2, keepdims=True) / cnt
+    cd = (dst * wf).sum(axis=2, keepdims=True) / cnt
+    sc = (src - cs) * wf
+    a = sc @ sc.transpose(0, 2, 1)
+    b = sc @ (dst - cd).transpose(0, 2, 1)
+    a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    lmax = (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, a01)
+    good = a00 * a11 - a01 * a01 > _MIN_EIG_RATIO * lmax * lmax  # det = lmin * lmax
+    a[~good] = np.eye(2)  # keeps solve from raising; lstsq refits these rows
+    lin = np.linalg.solve(a, b)
+    shift = cd.transpose(0, 2, 1) - cs.transpose(0, 2, 1) @ lin
+    theta = np.concatenate([lin, shift], axis=1)
+    for i in np.flatnonzero(~good):
+        theta[i] = fit_affine(src[i][:, w[i]].T, dst[i][:, w[i]].T)[0]
+    return theta
+
+
+def _affine_residuals(src, dst, theta):
+    """(F, 2, M) planes of [src 1] @ theta - dst."""
+    return theta[:, :2].transpose(0, 2, 1) @ src + theta[:, 2, :, None] - dst
 
 
 def _global_continuity(points, masks, cfg: TrackScoreConfig) -> float:
-    n = points.shape[1]
-    rmses, thetas = [], []
-    for t in range(n - 1):
-        both = masks[:, t] & masks[:, t + 1]
-        if np.count_nonzero(both) < 3:
-            thetas.append(None)
-            continue
-        theta, rmse = _robust_affine(points[both, t], points[both, t + 1])
-        rmses.append(rmse)
-        thetas.append(theta)
-    if not rmses:
+    """Per-adjacent-pair affine fits, each refit once without the points whose
+    residual exceeds 3x the pair's median (independently moving keypoints are
+    outliers to the dominant static-scene transform); pairs with fewer than 3
+    points visible in both frames are skipped."""
+    vis = (masks[:, :-1] & masks[:, 1:]).T
+    fitted = np.count_nonzero(vis, axis=1) >= 3
+    if not fitted.any():
         return 0.0
-    jitters = []
-    for a, b in zip(thetas[:-1], thetas[1:]):
-        if a is not None and b is not None:
-            jitters.append(float(np.linalg.norm(a - b)))
+    # (frames, 2, tracks) coordinate planes with hidden positions zeroed; a
+    # pair's fits read only its points visible in both frames
+    planes = np.where(masks, points.transpose(2, 0, 1), 0.0).transpose(2, 0, 1).copy()
+    t = np.flatnonzero(fitted)
+    src, dst, w = planes[t], planes[t + 1], vis[t]
+    theta = _affine_fits(src, dst, w)
+    resid = _norm2(*_affine_residuals(src, dst, theta).transpose(1, 0, 2))
+    keep = w & (resid <= 3.0 * _row_medians(resid, w)[:, None] + 1e-9)
+    n_keep = np.count_nonzero(keep, axis=1)
+    refit = (n_keep >= 3) & (n_keep < np.count_nonzero(w, axis=1))
+    if refit.any():
+        # a row without a refit gets the same fit again
+        w = np.where(refit[:, None], keep, w)
+        theta = _affine_fits(src, dst, w)
+    rx, ry = _affine_residuals(src, dst, theta).transpose(1, 0, 2)
+    sq = (rx ** 2 + ry ** 2) * w
+    rmses = np.sqrt(sq.sum(axis=1) / np.count_nonzero(w, axis=1))
+    # jitter only between fits of consecutive frame pairs
+    adjacent = np.diff(t) == 1
+    jitters = np.linalg.norm(theta[1:] - theta[:-1], axis=(1, 2))[adjacent]
     q_rmse = quantile_sorted(rmses, cfg.global_quantile)
-    q_jit = quantile_sorted(jitters, cfg.global_quantile) if jitters else 0.0
+    q_jit = quantile_sorted(jitters, cfg.global_quantile) if jitters.size else 0.0
     return _clip01(0.7 * math.exp(-q_rmse / cfg.tau_rmse)
                    + 0.3 * math.exp(-q_jit / cfg.tau_jitter))
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Rollout, JointTrace, state_diff
+from .core import Rollout, JointTrace, state_diff, state_diffs
 from .errors import InsufficientTrackingError, ValidationError
 from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_tracks
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
@@ -23,12 +23,19 @@ DEFAULT_RADIAN_WEIGHT = 0.1
 
 # ---------------------------------------------------------------------------
 # state-difference predictors (pluggable; the trained visual IDM is out of scope)
+#
+# A predictor's batch(rollout, d, true) returns the predicted differences for
+# every t in 0..T-d as a (T-d+1, 6) array, given the true ones; calling it as
+# predictor(rollout, t, d) predicts one.
 
 class OraclePredictor:
     """Returns the true end-effector state difference."""
 
     def __call__(self, rollout: Rollout, t: int, d: int) -> np.ndarray:
         return state_diff(rollout, t, d)
+
+    def batch(self, rollout: Rollout, d: int, true: np.ndarray) -> np.ndarray:
+        return true
 
 
 class NoisyPredictor:
@@ -45,13 +52,19 @@ class NoisyPredictor:
         self.bias = np.zeros(6) if bias is None else np.asarray(bias, dtype=float)
         self.seed = seed
 
-    def __call__(self, rollout: Rollout, t: int, d: int) -> np.ndarray:
-        key = zlib.crc32(f"{rollout.id}:{t}:{d}".encode())
+    def _noise(self, rollout_id: str, t: int, d: int) -> np.ndarray:
+        key = zlib.crc32(f"{rollout_id}:{t}:{d}".encode())
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed,
                                                            spawn_key=(4, key)))
-        noise = np.concatenate([rng.normal(0.0, self.sigma_xyz, 3),
-                                rng.normal(0.0, self.sigma_rpy, 3)])
-        return state_diff(rollout, t, d) + self.bias + noise
+        return np.concatenate([rng.normal(0.0, self.sigma_xyz, 3),
+                               rng.normal(0.0, self.sigma_rpy, 3)])
+
+    def __call__(self, rollout: Rollout, t: int, d: int) -> np.ndarray:
+        return state_diff(rollout, t, d) + self.bias + self._noise(rollout.id, t, d)
+
+    def batch(self, rollout: Rollout, d: int, true: np.ndarray) -> np.ndarray:
+        noise = np.stack([self._noise(rollout.id, t, d) for t in range(len(true))])
+        return true + self.bias + noise
 
 
 def predictor_from_spec(spec: str, seed: int = 0):
@@ -108,21 +121,19 @@ class IdmResult:
     passed: bool
 
 
-def _idm_errors(rollout: Rollout, predictor: Callable, d: int,
+def _idm_errors(rollout: Rollout, predictor, d: int,
                 radian_weight: float) -> tuple[np.ndarray, np.ndarray]:
     T = rollout.horizon
     if d < 1 or d > T:
         raise ValidationError(f"interval d={d} out of range for horizon {T}")
     w = np.array([1.0, 1.0, 1.0, radian_weight, radian_weight, radian_weight])
-    diffs = []
-    for t in range(0, T - d + 1):
-        diffs.append(predictor(rollout, t, d) - state_diff(rollout, t, d))
-    diffs = np.stack(diffs)
+    true = state_diffs(rollout, d)
+    diffs = predictor.batch(rollout, d, true) - true
     errs = np.linalg.norm(diffs * w, axis=1)
     return errs, diffs
 
 
-def verify_idm(rollout: Rollout, predictor: Callable,
+def verify_idm(rollout: Rollout, predictor,
                calib: IdmCalibration) -> IdmResult:
     """Check visually-implied state differences against the conditioning states."""
     errs, diffs = _idm_errors(rollout, predictor, calib.d, calib.radian_weight)
@@ -133,7 +144,7 @@ def verify_idm(rollout: Rollout, predictor: Callable,
                      passed=bool(q <= calib.tau))
 
 
-def calibrate_idm(success_rollouts: Sequence[Rollout], predictor: Callable,
+def calibrate_idm(success_rollouts: Sequence[Rollout], predictor,
                   percentile: float = 0.95, d: int = 4, eps: float = 1e-6,
                   margin: float = 2.0,
                   radian_weight: float = DEFAULT_RADIAN_WEIGHT) -> IdmCalibration:

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import failsynth
+from failsynth import pipeline
 from failsynth.cli import main
+from failsynth.errors import ValidationError
 from failsynth.rollout_io import read_records
 
 
@@ -170,6 +177,31 @@ class TestExitCodes:
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 2
 
+    def test_malformed_config_json_is_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{bad")
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        '{"horizon": "abc"}', '{"horizon": 60.5}', '{"horizon": true}',
+        '{"scene": 3}', '{"verifier": {"predictor": 3}}',
+        '{"tracks": {"weights": [0.5, "x", 0.25, 0.25]}}',
+        '{"scene": {"object_x": "wide"}}'])
+    def test_mistyped_config_value_is_2(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(content)
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_int_for_float_and_list_for_tuple_accepted(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"perturb": {"sigma": 1}, "scene": {"object_x": [0.3, 0.5]}}')
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 0
+
 
 class TestQuarantine:
     def test_dying_judge_quarantines_batch(self, workdir, tmp_path):
@@ -191,3 +223,65 @@ class TestQuarantine:
         assert m["quarantined"] == m["generated"] - 1
         assert m["retained"] + m["rejected"] == 1
         assert m["retained"] + m["rejected"] + m["quarantined"] == m["generated"]
+
+
+ANSWER_EVERY_LINE = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    print(json.dumps({'valid_failure': True, 'visual_ok': True,"
+    " 'rationale': 'ok'}), flush=True)\n")
+
+
+class TestJudgeLifetime:
+    @pytest.fixture
+    def clients(self, monkeypatch):
+        """Every semantic client cmd_verify builds."""
+        made = []
+        build = pipeline.client_from_endpoint
+
+        def recording(*args):
+            made.append(build(*args))
+            return made[-1]
+        monkeypatch.setattr(pipeline, "client_from_endpoint", recording)
+        return made
+
+    def _verify(self, workdir, tmp_path):
+        script = tmp_path / "judge.py"
+        script.write_text(ANSWER_EVERY_LINE)
+        return _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                    workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                    "--endpoint", f"pipe:{sys.executable} {script}", "--seed", 11)
+
+    def test_pipe_judge_has_exited_when_verify_returns(self, workdir, tmp_path,
+                                                       clients):
+        assert self._verify(workdir, tmp_path) == 0
+        (client,) = clients
+        assert client.proc.returncode == 0  # saw end of input and exited
+
+    def test_pipe_judge_is_stopped_when_verify_fails(self, workdir, tmp_path,
+                                                     clients, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValidationError("verifier broke")
+        monkeypatch.setattr(pipeline, "verify_rollout", broken)
+        assert self._verify(workdir, tmp_path) == 4
+        (client,) = clients
+        assert client.proc.returncode is not None
+
+
+class TestAccountingCheck:
+    BROKEN = {"generated": 3, "retained": 1, "rejected": 1, "quarantined": 0}
+
+    def test_broken_accounting_raises(self):
+        pipeline._check_accounting({**self.BROKEN, "quarantined": 1})
+        with pytest.raises(ValidationError, match="accounting"):
+            pipeline._check_accounting(self.BROKEN)
+
+    def test_check_survives_python_optimize(self):
+        src = str(Path(failsynth.__file__).resolve().parents[1])
+        code = ("from failsynth.pipeline import _check_accounting; "
+                f"_check_accounting({self.BROKEN!r})")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "ValidationError" in proc.stderr
