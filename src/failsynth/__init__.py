@@ -1,8 +1,8 @@
 """failsynth: counterfactual failure synthesis, verification, paired fix
 labeling, and closed-loop correction for tabletop manipulation rollouts."""
 
-from .core import (Action, EndEffectorState, FailureType, JointTrace, Rollout,
-                   TrackSet, detect_keyframes, wrap_angle)
+from .core import (FailureType, JointTrace, Rollout, TrackSet, detect_keyframes,
+                   wrap_angle)
 from .config import PipelineConfig, load_config
 from .errors import (FailSynthError, SchemaError, TransportError,
                      ValidationError)
@@ -13,7 +13,7 @@ from .world import ArtifactSpec, CameraSpec, SceneSpec, resimulate, script_succe
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "ArtifactSpec", "CameraSpec", "EndEffectorState", "FailSynthError",
+    "ArtifactSpec", "CameraSpec", "FailSynthError",
     "FailureType", "FixLabel", "JointTrace", "PerturbationSpec", "PipelineConfig",
     "Rollout", "SceneSpec", "SchemaError", "TrackSet", "TransportError",
     "ValidationError", "apply_perturbation", "detect_keyframes", "generate_label",

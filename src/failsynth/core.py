@@ -34,61 +34,31 @@ class FailureType(str, Enum):
     delay_close = "delay_close"
 
 
-@dataclass(frozen=True)
-class EndEffectorState:
-    """End-effector pose (meters / radians) plus gripper command state.
+# Column order of the two per-step arrays a Rollout holds.
+STATE_COLUMNS = POSE_FIELDS + ("gripper",)
+ACTION_COLUMNS = DELTA_FIELDS + ("gripper_cmd",)
+GRIPPER = 6  # column of the gripper state / command in both arrays
+_COLUMNS = {"state": STATE_COLUMNS, "action": ACTION_COLUMNS}
 
-    gripper is a unitless command in [0, 1]: 1 = fully open, 0 = fully closed.
+
+def step_array(rows, kind: str) -> np.ndarray:
+    """Read-only float64 copy of per-step "state" or "action" rows, shape (n, 7).
+
+    Every value must be finite and the gripper column (a unitless command:
+    1 = fully open, 0 = fully closed) must lie in [0, 1].
     """
-
-    x: float
-    y: float
-    z: float
-    roll: float
-    pitch: float
-    yaw: float
-    gripper: float
-
-    def __post_init__(self):
-        vals = (self.x, self.y, self.z, self.roll, self.pitch, self.yaw, self.gripper)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("non-finite end-effector state field")
-        if not 0.0 <= self.gripper <= 1.0:
-            raise ValidationError(f"gripper {self.gripper} outside [0, 1]")
-
-    def pose(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.roll, self.pitch, self.yaw])
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y, self.z, self.roll, self.pitch, self.yaw, self.gripper)
-
-
-@dataclass(frozen=True)
-class Action:
-    """Per-step end-effector delta plus absolute gripper command."""
-
-    dx: float
-    dy: float
-    dz: float
-    droll: float
-    dpitch: float
-    dyaw: float
-    gripper_cmd: float
-
-    def __post_init__(self):
-        vals = (self.dx, self.dy, self.dz, self.droll, self.dpitch, self.dyaw,
-                self.gripper_cmd)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("non-finite action field")
-        if not 0.0 <= self.gripper_cmd <= 1.0:
-            raise ValidationError(f"gripper_cmd {self.gripper_cmd} outside [0, 1]")
-
-    def deltas(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz, self.droll, self.dpitch, self.dyaw])
-
-    def as_tuple(self) -> tuple:
-        return (self.dx, self.dy, self.dz, self.droll, self.dpitch, self.dyaw,
-                self.gripper_cmd)
+    columns = _COLUMNS[kind]
+    a = np.array(rows, dtype=float)
+    if a.ndim != 2 or a.shape[1] != len(columns):
+        raise ValidationError(f"{kind} rows must be (n, {len(columns)}), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"non-finite {kind} field")
+    g = a[:, GRIPPER]
+    bad = (g < 0.0) | (g > 1.0)
+    if bad.any():
+        raise ValidationError(f"{columns[GRIPPER]} {g[bad][0]} outside [0, 1]")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -124,7 +94,7 @@ class TrackSet:
             raise ValidationError(f"track points must be (M, T+1, 2), got {pts.shape}")
         if msk.shape != pts.shape[:2]:
             raise ValidationError("mask shape does not match track shape")
-        if not np.all(np.isfinite(pts[msk])):
+        if not np.isfinite(pts).all() and not np.isfinite(pts[msk]).all():
             raise ValidationError("non-finite position on a visible track point")
         pts.flags.writeable = False
         msk.flags.writeable = False
@@ -144,15 +114,18 @@ class TrackSet:
 class Rollout:
     """One manipulation attempt: states, actions, observations, provenance.
 
-    Invariant: len(states) == len(actions) + 1, and every observation channel
-    shares that timebase. Immutable after construction; safe to share across
-    workers.
+    states is a read-only (T+1, 7) float array with columns x y z roll pitch
+    yaw gripper (meters, radians, unitless command); actions is a read-only
+    (T, 7) float array with columns dx dy dz droll dpitch dyaw gripper_cmd.
+    Both are copied and validated by step_array at construction. Every
+    observation channel shares the states' timebase. Immutable after
+    construction; safe to share across workers.
     """
 
     id: str
     task: str
-    states: Sequence[EndEffectorState]
-    actions: Sequence[Action]
+    states: np.ndarray
+    actions: np.ndarray
     joints: Optional[JointTrace] = None
     tracks: Optional[TrackSet] = None
     spec: Optional[object] = None  # PerturbationSpec, kept loose to avoid a cycle
@@ -160,8 +133,8 @@ class Rollout:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "states", step_array(self.states, "state"))
+        object.__setattr__(self, "actions", step_array(self.actions, "action"))
         if len(self.states) != len(self.actions) + 1:
             raise ValidationError(
                 f"len(states)={len(self.states)} must equal len(actions)+1={len(self.actions) + 1}")
@@ -180,16 +153,16 @@ class Rollout:
         return len(self.actions)
 
     def gripper_channel(self) -> np.ndarray:
-        return np.array([s.gripper for s in self.states])
+        return self.states[:, GRIPPER]
 
     def poses(self) -> np.ndarray:
-        return np.array([(s.x, s.y, s.z, s.roll, s.pitch, s.yaw) for s in self.states])
+        return self.states[:, :GRIPPER]
 
     def check_step_bound(self, max_step: float) -> None:
         """Reject per-step deltas beyond the configured magnitude bound."""
-        for i, a in enumerate(self.actions):
-            if np.max(np.abs(a.deltas())) > max_step:
-                raise ValidationError(f"action {i} exceeds max step {max_step}")
+        over = np.nonzero(np.abs(self.actions[:, :GRIPPER]).max(axis=1) > max_step)[0]
+        if over.size:
+            raise ValidationError(f"action {over[0]} exceeds max step {max_step}")
 
 
 def crossings(channel: Sequence[float], threshold: float) -> list[int]:
@@ -220,9 +193,7 @@ def state_diff(rollout: Rollout, t: int, d: int) -> np.ndarray:
     T = rollout.horizon
     if d < 0 or t < 0 or t + d > T:
         raise ValidationError(f"(t={t}, d={d}) out of range for horizon {T}")
-    a = rollout.states[t].pose()
-    b = rollout.states[t + d].pose()
-    out = b - a
+    out = rollout.states[t + d, :GRIPPER] - rollout.states[t, :GRIPPER]
     out[3:] = wrap_angle(out[3:])
     return out
 

@@ -10,12 +10,12 @@ spec to the original rollout reproduces the perturbed actions bit-exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import Action, FailureType, Rollout
+from .core import GRIPPER, FailureType, Rollout, step_array
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -88,29 +88,47 @@ class PerturbationSpec:
         )
 
 
-def _gripper_cmds(actions: Sequence[Action]) -> list[float]:
-    return [a.gripper_cmd for a in actions]
+def ramp_translation(actions: np.ndarray, at: int, window: int, dx: float,
+                     dy: float) -> None:
+    """Add (dx, dy) to actions in place, spread evenly over rows at-window..at.
+
+    The ramp starts at row 0 when at < window.
+    """
+    lo = max(0, at - window)
+    count = at - lo + 1
+    actions[lo:at + 1, 0] += dx / count
+    actions[lo:at + 1, 1] += dy / count
 
 
-def _with_gripper(actions: Sequence[Action], cmds: Sequence[float]) -> tuple[Action, ...]:
-    return tuple(replace(a, gripper_cmd=float(c)) for a, c in zip(actions, cmds))
+def clamp_gripper(actions: np.ndarray, start: int, lo: float, hi: float,
+                  fill: float) -> None:
+    """Set, in place, every gripper command from row start on that lies
+    outside [lo, hi] to fill."""
+    g = actions[start:, GRIPPER]
+    g[(g < lo) | (g > hi)] = fill
 
 
-def _require_closing_keyframe(actions: Sequence[Action], keyframe: int) -> None:
+def _require_closing_keyframe(actions: np.ndarray, keyframe: int) -> None:
     n = len(actions)
     if not 0 <= keyframe < n:
         raise ValidationError(f"keyframe {keyframe} outside action range [0, {n})")
-    pre = actions[keyframe - 1].gripper_cmd if keyframe > 0 else 1.0
-    if not (actions[keyframe].gripper_cmd < GRIPPER_THRESHOLD <= pre):
+    pre = actions[keyframe - 1, GRIPPER] if keyframe > 0 else 1.0
+    if not (actions[keyframe, GRIPPER] < GRIPPER_THRESHOLD <= pre):
         raise ValidationError(f"keyframe {keyframe} is not a closing transition")
 
 
-def apply_perturbation(actions: Sequence[Action], spec: PerturbationSpec) -> tuple[Action, ...]:
-    """Re-apply a recorded spec to an action sequence (pure, deterministic)."""
-    actions = tuple(actions)
-    n = len(actions)
+def apply_perturbation(actions, spec: PerturbationSpec) -> np.ndarray:
+    """Re-apply a recorded spec to (T, 7) actions (pure, deterministic).
+
+    Returns a new array; the input is left alone.
+    """
+    out = step_array(actions, "action").copy()
+    n = len(out)
     k, w = spec.keyframe, spec.window
+    if not 0 <= k < n:
+        raise ValidationError(f"keyframe {k} outside action range [0, {n})")
     ft = spec.failure_type
+    g = out[:, GRIPPER]  # a view: edits land in out
 
     if ft is FailureType.delay_close:
         d = spec.delay_steps
@@ -119,51 +137,37 @@ def apply_perturbation(actions: Sequence[Action], spec: PerturbationSpec) -> tup
         if k + d >= n:
             raise ValidationError(
                 f"delay {d} pushes closure past horizon {n}; extend or reject")
-        cmds = _gripper_cmds(actions)
-        pre = cmds[k - 1] if k > 0 else 1.0
-        out = list(cmds)
-        out[k:k + d] = [pre] * d
-        out[k + d:] = cmds[k:n - d]
-        return _with_gripper(actions, out)
+        g[k + d:] = g[k:n - d].copy()
+        g[k:k + d] = g[k - 1] if k > 0 else 1.0
+        return out
 
     if ft is FailureType.weak_close:
         s = spec.strength_scale
         if not 0.0 < s <= 1.0:
             raise ValidationError(f"strength_scale {s} outside (0, 1]")
-        cmds = _gripper_cmds(actions)
-        out = [c if i < k else 1.0 - s * (1.0 - c) for i, c in enumerate(cmds)]
-        return _with_gripper(actions, out)
+        g[k:] = 1.0 - s * (1.0 - g[k:])
+        return out
 
     if ft is FailureType.force_open:
-        cmds = _gripper_cmds(actions)
-        out = list(cmds)
         # Invert the closing commands inside the window; already-open steps
         # stay open so the failed rollout contains no closing transition.
-        for i in range(max(0, k - w), min(n, k + w + 1)):
-            if out[i] < GRIPPER_THRESHOLD:
-                out[i] = 1.0 - out[i]
+        win = g[max(0, k - w):k + w + 1]
+        closing = win < GRIPPER_THRESHOLD
+        win[closing] = 1.0 - win[closing]
         # No late accidental grasp: clamp any closing command after the
         # window to fully open.
-        for i in range(k + w + 1, n):
-            if out[i] < GRIPPER_THRESHOLD:
-                out[i] = 1.0
-        return _with_gripper(actions, out)
+        clamp_gripper(out, k + w + 1, lo=GRIPPER_THRESHOLD, hi=np.inf, fill=1.0)
+        return out
 
     if ft is FailureType.translation:
-        lo = max(0, k - w)
-        count = k - lo + 1
-        ddx = spec.offset_x / count
-        ddy = spec.offset_y / count
-        out = list(actions)
-        for i in range(lo, k + 1):
-            out[i] = replace(out[i], dx=out[i].dx + ddx, dy=out[i].dy + ddy)
-        return tuple(out)
+        ramp_translation(out, k, w, spec.offset_x, spec.offset_y)
+        return out
 
     raise ValidationError(f"unknown failure type {ft!r}")
 
 
 def inject_delay_close(rollout: Rollout, keyframe: int, delay_steps: int,
-                       window: int = 5) -> tuple[tuple[Action, ...], PerturbationSpec]:
+                       window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
     """Hold the gripper open for delay_steps and shift closure later."""
     _require_closing_keyframe(rollout.actions, keyframe)
     spec = PerturbationSpec(FailureType.delay_close, keyframe, window=window,
@@ -172,7 +176,7 @@ def inject_delay_close(rollout: Rollout, keyframe: int, delay_steps: int,
 
 
 def inject_weak_close(rollout: Rollout, keyframe: int, strength_scale: float,
-                      window: int = 5) -> tuple[tuple[Action, ...], PerturbationSpec]:
+                      window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
     """Scale closing depth down: cmd' = 1 - scale * (1 - cmd) from keyframe on."""
     _require_closing_keyframe(rollout.actions, keyframe)
     if not 0.0 < strength_scale <= 1.0:
@@ -183,7 +187,7 @@ def inject_weak_close(rollout: Rollout, keyframe: int, strength_scale: float,
 
 
 def inject_force_open(rollout: Rollout, keyframe: int,
-                      window: int = 5) -> tuple[tuple[Action, ...], PerturbationSpec]:
+                      window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
     """Invert the gripper command in a window around the keyframe."""
     _require_closing_keyframe(rollout.actions, keyframe)
     spec = PerturbationSpec(FailureType.force_open, keyframe, window=window,
@@ -217,7 +221,7 @@ def draw_translation_offset(sigma: float, seed: int, min_offset: float,
 def inject_translation(rollout: Rollout, keyframe: int, window: int, sigma: float,
                        seed: int, min_offset: float, max_offset: float = 0.05,
                        offsets: Optional[tuple[float, float]] = None,
-                       ) -> tuple[tuple[Action, ...], PerturbationSpec]:
+                       ) -> tuple[np.ndarray, PerturbationSpec]:
     """Ramp a per-rollout x-y offset into the approach before the keyframe.
 
     The offset is a single draw held after the keyframe, which keeps the

@@ -171,20 +171,28 @@ def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
                               margin=vc.joint_margin)
     scores = [score_tracks(ro.tracks, cfg.tracks) for ro in demos]
     omega = [joint_exceedance(ro.joints, joints) for ro in demos]
-    gt_stats = {
-        "s_smooth": float(np.mean([s.s_smooth for s in scores])),
-        "s_vis": float(np.mean([s.s_vis for s in scores])),
-        "s_topo": float(np.mean([s.s_topo for s in scores])),
-        "s_global": float(np.mean([s.s_global for s in scores])),
-        "mae_xyz": idm.mae_xyz,
-        "mae_rpy": idm.mae_rpy,
-        "omega_exceed_p95": float(np.mean([o[0] for o in omega])),
-        "alpha_exceed_p95": float(np.mean([o[1] for o in omega])),
-        "demos": len(demos),
-        "config_hash": cfg.config_hash(),
-    }
+    # mae is the pooled demo error, one pair, so its "mean" is itself
+    gt_stats = _summary_stats(scores, [(idm.mae_xyz, idm.mae_rpy)], omega)
+    gt_stats.update(demos=len(demos), config_hash=cfg.config_hash())
     save_calibrations(out_path, idm, joints, extra=gt_stats)
     return gt_stats
+
+
+def _summary_stats(scores: Sequence, mae: Sequence[tuple[float, float]],
+                   exceed: Sequence[tuple[bool, bool]]) -> dict:
+    """Means of the track sub-scores, (xyz, rpy) IDM errors and (velocity,
+    acceleration) joint exceedance flags; None where a list is empty."""
+    columns = {
+        "s_smooth": [s.s_smooth for s in scores],
+        "s_vis": [s.s_vis for s in scores],
+        "s_topo": [s.s_topo for s in scores],
+        "s_global": [s.s_global for s in scores],
+        "mae_xyz": [m[0] for m in mae],
+        "mae_rpy": [m[1] for m in mae],
+        "omega_exceed_p95": [e[0] for e in exceed],
+        "alpha_exceed_p95": [e[1] for e in exceed],
+    }
+    return {k: float(np.mean(v)) if v else None for k, v in columns.items()}
 
 
 def _verify_worker(args):
@@ -262,16 +270,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
         client.close()
     write_records(out_path, retained_records)
     generated = len(records)
-    gen_stats = {
-        "s_smooth": float(np.mean([s.s_smooth for s in gen_scores])) if gen_scores else None,
-        "s_vis": float(np.mean([s.s_vis for s in gen_scores])) if gen_scores else None,
-        "s_topo": float(np.mean([s.s_topo for s in gen_scores])) if gen_scores else None,
-        "s_global": float(np.mean([s.s_global for s in gen_scores])) if gen_scores else None,
-        "mae_xyz": float(np.mean([m[0] for m in gen_mae])) if gen_mae else None,
-        "mae_rpy": float(np.mean([m[1] for m in gen_mae])) if gen_mae else None,
-        "omega_exceed_p95": float(np.mean([e[0] for e in gen_exceed])) if gen_exceed else None,
-        "alpha_exceed_p95": float(np.mean([e[1] for e in gen_exceed])) if gen_exceed else None,
-    }
+    gen_stats = _summary_stats(gen_scores, gen_mae, gen_exceed)
     manifest = {
         "stage": "verify",
         "generated": generated,

@@ -3,12 +3,15 @@ label -> control-primitive mapping, trajectory editing, and replay scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import Action, FailureType, Rollout, crossings
+import numpy as np
+
+from .core import FailureType, Rollout, crossings, step_array
 from .errors import SchemaError, ValidationError
 from .labels import FixLabel
+from .perturb import clamp_gripper, ramp_translation
 from .world import SceneSpec, resimulate
 
 
@@ -97,34 +100,28 @@ def map_to_primitives(label: FixLabel, bin_size: float,
     return prims
 
 
-def apply_primitives(actions: Sequence[Action], primitives: Sequence[ControlPrimitive],
-                     ramp_window: int = 5) -> tuple[Action, ...]:
-    """Edit an action sequence per the predicted primitives.
+def apply_primitives(actions, primitives: Sequence[ControlPrimitive],
+                     ramp_window: int = 5) -> np.ndarray:
+    """Edit (T, 7) actions per the predicted primitives; returns a new array.
 
     Translation deltas are distributed over the same ramp window the injector
     uses, which keeps recovered rollouts within the kinematic envelope.
     Gripper commands are overwritten (clamped closed) from the anchor on.
     """
-    out = list(actions)
+    out = step_array(actions, "action").copy()
     n = len(out)
     for prim in primitives:
         if not 0 <= prim.at < n:
             raise ValidationError(f"primitive anchor {prim.at} outside horizon {n}")
         if isinstance(prim, TranslateDelta):
-            lo = max(0, prim.at - ramp_window)
-            count = prim.at - lo + 1
-            for i in range(lo, prim.at + 1):
-                out[i] = replace(out[i], dx=out[i].dx + prim.dx / count,
-                                 dy=out[i].dy + prim.dy / count)
+            ramp_translation(out, prim.at, ramp_window, prim.dx, prim.dy)
         else:  # GripperClose / Reclose
             closed = 1.0 - prim.strength
-            for i in range(prim.at, n):
-                if out[i].gripper_cmd > closed:
-                    out[i] = replace(out[i], gripper_cmd=closed)
-    return tuple(out)
+            clamp_gripper(out, prim.at, lo=-np.inf, hi=closed, fill=closed)
+    return out
 
 
-def replay_with_recovery(scene: SceneSpec, failed_actions: Sequence[Action],
+def replay_with_recovery(scene: SceneSpec, failed_actions,
                          primitives: Sequence[ControlPrimitive],
                          ramp_window: int = 5,
                          rollout_id: str = "recovered") -> tuple[Rollout, bool]:
@@ -134,7 +131,7 @@ def replay_with_recovery(scene: SceneSpec, failed_actions: Sequence[Action],
     return ro, ro.outcome == "success"
 
 
-def recovery_rate(cases: Sequence[tuple[SceneSpec, Sequence[Action],
+def recovery_rate(cases: Sequence[tuple[SceneSpec, np.ndarray,
                                         Sequence[ControlPrimitive]]],
                   ramp_window: int = 5) -> tuple[float, int]:
     """Fraction of failure cases recovered by their predicted corrections."""

@@ -10,13 +10,13 @@ floats.
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Iterable, Iterator, Optional
+import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Action, EndEffectorState, JointTrace, Rollout, TrackSet
-from .errors import SchemaError
+from .core import JointTrace, Rollout, TrackSet, step_array
+from .errors import SchemaError, ValidationError
 from .perturb import PerturbationSpec
 
 
@@ -28,8 +28,8 @@ def rollout_to_record(rollout: Rollout) -> dict:
     rec = {
         "id": rollout.id,
         "task": rollout.task,
-        "states": [list(s.as_tuple()) for s in rollout.states],
-        "actions": [list(a.as_tuple()) for a in rollout.actions],
+        "states": rollout.states.tolist(),
+        "actions": rollout.actions.tolist(),
         "joints": None if rollout.joints is None else rollout.joints.q.tolist(),
         "tracks": None if rollout.tracks is None else {
             "points": rollout.tracks.points.tolist(),
@@ -43,7 +43,39 @@ def rollout_to_record(rollout: Rollout) -> dict:
     return rec
 
 
+def _step_rows(rows, kind: str) -> np.ndarray:
+    """Validated (n, 7) array of JSON "state" or "action" rows (see step_array).
+
+    Rows that are not lists of seven numbers are a SchemaError. Faults are
+    reported in the order a row-by-row, field-by-field reader meets them, so
+    a record holding both a schema fault and a bad value (non-finite, or a
+    gripper outside [0, 1], a ValidationError) reports whichever comes first.
+    """
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged rows
+        a = None
+    if a is not None and a.ndim == 2 and a.shape[1] == 7 and a.dtype.kind in "biuf":
+        return step_array(a, kind)
+    try:
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 7:
+                raise SchemaError(f"{kind} row is not 7 numbers: {row!r}")
+            for v in row:
+                if not isinstance(v, (int, float)):
+                    raise SchemaError(f"{kind} value is not a number: {v!r}")
+                if not math.isfinite(v):
+                    raise ValidationError(f"non-finite {kind} field")
+            step_array([row], kind)  # the gripper range
+        # zero rows are left to the rollout's length check, after the other fields
+        return step_array(np.array(list(rows), dtype=float).reshape(-1, 7), kind)
+    except (TypeError, OverflowError) as exc:
+        raise SchemaError(f"malformed {kind} rows: {exc}") from exc
+
+
 def rollout_from_record(rec: dict) -> Rollout:
+    if not isinstance(rec, dict):
+        raise SchemaError(f"rollout record is not an object: {type(rec).__name__}")
     try:
         tracks = None
         if rec.get("tracks") is not None:
@@ -52,8 +84,8 @@ def rollout_from_record(rec: dict) -> Rollout:
         return Rollout(
             id=rec["id"],
             task=rec["task"],
-            states=[EndEffectorState(*s) for s in rec["states"]],
-            actions=[Action(*a) for a in rec["actions"]],
+            states=_step_rows(rec["states"], "state"),
+            actions=_step_rows(rec["actions"], "action"),
             joints=None if rec.get("joints") is None else JointTrace(np.array(rec["joints"])),
             tracks=tracks,
             spec=None if rec.get("spec") is None else PerturbationSpec.from_dict(rec["spec"]),

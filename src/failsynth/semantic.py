@@ -12,11 +12,17 @@ rollout instead of counting it as rejected.
 from __future__ import annotations
 
 import json
+import os
+import select
 import subprocess
 import threading
+import time
 from typing import Optional
 
 from .errors import TransportError
+
+# Seconds a judge may take to answer one request.
+DEFAULT_TIMEOUT_S = 10.0
 
 DEFAULT_VISUAL_FLOORS = {
     "jitter_px": 0.5,
@@ -59,30 +65,55 @@ class PipeClient:
     """Line-delimited JSON over a subprocess pipe.
 
     Bounds concurrent use with a lock; the judge process is expected to
-    answer one line per request line.
+    answer one line per request line within timeout seconds. A judge that
+    misses the deadline may still answer late, and that answer would be
+    read as the reply to the next request, so after one timeout every
+    later request fails at once.
     """
 
-    def __init__(self, cmd: list[str]):
+    def __init__(self, cmd: list[str], timeout: float = DEFAULT_TIMEOUT_S):
         try:
             self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE, text=True)
+                                         stdout=subprocess.PIPE)
         except OSError as exc:
             raise TransportError(f"cannot start judge process: {exc}") from exc
+        self.timeout = timeout
         self._lock = threading.Lock()
+        self._unread = b""  # bytes read past the last reply line
+        self._timed_out = False
+
+    def _readline(self) -> bytes:
+        """Next reply line (b"" once the judge closed its end), by deadline."""
+        deadline = time.monotonic() + self.timeout
+        fd = self.proc.stdout.fileno()
+        while b"\n" not in self._unread:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                self._timed_out = True
+                raise TransportError(f"judge did not answer within {self.timeout} s")
+            chunk = os.read(fd, 65536)
+            if not chunk:  # end of file: hand over what is left
+                line, self._unread = self._unread, b""
+                return line
+            self._unread += chunk
+        line, _, self._unread = self._unread.partition(b"\n")
+        return line + b"\n"
 
     def judge(self, request: dict) -> dict:
         with self._lock:
+            if self._timed_out:
+                raise TransportError("judge timed out on an earlier request")
             try:
-                self.proc.stdin.write(json.dumps(request) + "\n")
+                self.proc.stdin.write((json.dumps(request) + "\n").encode())
                 self.proc.stdin.flush()
-                line = self.proc.stdout.readline()
-            except (OSError, ValueError, BrokenPipeError) as exc:
+                line = self._readline()
+            except (OSError, ValueError) as exc:
                 raise TransportError(f"judge pipe failed: {exc}") from exc
         if not line:
             raise TransportError("judge process closed the pipe")
         try:
             return json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise TransportError(f"judge sent invalid JSON: {line!r}") from exc
 
     def close(self):
@@ -99,7 +130,7 @@ class PipeClient:
 class HttpClient:
     """POSTs each request as JSON to a fixed endpoint."""
 
-    def __init__(self, url: str, timeout: float = 10.0):
+    def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT_S):
         self.url = url
         self.timeout = timeout
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Action, EndEffectorState, JointTrace, Rollout, TrackSet, wrap_angle
+from .core import GRIPPER, JointTrace, Rollout, TrackSet, step_array, wrap_angle
 from .errors import CameraError, SceneError, ValidationError
 
 WORKSPACE_LO = np.array([0.15, -0.35, 0.0])
@@ -122,8 +121,8 @@ class SceneSpec:
                 raise SceneError(f"{name} {p.tolist()} outside the reachable workspace")
             object.__setattr__(self, name, tuple(float(v) for v in p))
 
-    def start_state(self) -> EndEffectorState:
-        """Deterministic start pose derived from the scene seed."""
+    def start_state(self) -> np.ndarray:
+        """Deterministic start state row (see Rollout) from the scene seed."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(self.seed),
                                                            spawn_key=(0,)))
         x = 0.35 + rng.uniform(-0.03, 0.03)
@@ -131,7 +130,7 @@ class SceneSpec:
         z = 0.28 + rng.uniform(-0.02, 0.02)
         roll = math.pi - 0.3 + rng.uniform(-0.05, 0.05)
         yaw = rng.uniform(-0.2, 0.2)
-        return EndEffectorState(x, y, z, roll, 0.0, yaw, 1.0)
+        return np.array([x, y, z, roll, 0.0, yaw, 1.0])
 
     def to_dict(self) -> dict:
         return {
@@ -191,34 +190,52 @@ class ArtifactSpec:
         return cls(**d)
 
 
-class _SimResult:
-    __slots__ = ("states", "object_traj", "outcome")
+def _near(points: np.ndarray, spot: np.ndarray, tol: float) -> list[bool]:
+    """For each row of points, np.linalg.norm(row - spot) <= tol.
 
-    def __init__(self, states, object_traj, outcome):
-        self.states = states
-        self.object_traj = object_traj
-        self.outcome = outcome
+    Distances are computed for all rows at once; they may differ from
+    norm's in the last bits, so a distance within a relative 1e-12 of tol
+    is decided by norm itself.
+    """
+    dist = np.sqrt(((points - spot) ** 2).sum(axis=1))
+    near = dist <= tol
+    for i in np.nonzero(np.abs(dist - tol) <= 1e-12 * tol)[0]:
+        near[i] = np.linalg.norm(points[i] - spot) <= tol
+    return near.tolist()
 
 
-def _simulate(scene: SceneSpec, actions: Sequence[Action]) -> _SimResult:
-    """Integrate actions kinematically with the attach/slip grasp rule."""
+def _simulate(scene: SceneSpec, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """Integrate validated (T, 7) actions kinematically with the attach/slip rule.
+
+    Returns the (T+1, 7) states, the (T+1, 3) object trajectory and the
+    outcome.
+    """
     if len(actions) == 0:
         raise ValidationError("empty action sequence")
-    s0 = scene.start_state()
-    pose = s0.pose()
-    states = [s0]
-    obj = np.asarray(scene.object_pos, dtype=float)
-    obj_traj = [obj.copy()]
+    states = np.empty((len(actions) + 1, 7))
+    states[0] = scene.start_state()
+    states[1:, GRIPPER] = actions[:, GRIPPER]
+    np.add.accumulate(np.concatenate([states[:1, :GRIPPER], actions[:, :GRIPPER]]),
+                      axis=0, out=states[:, :GRIPPER])
+    if not np.isfinite(states).all():
+        raise ValidationError("non-finite state field")
+    ee = states[:, :3]
+    # The object rests at its start position (row 0) or where the gripper
+    # carried it last (row t >= 1 of ee); where[t] is that row at step t.
+    spots = np.concatenate([np.asarray(scene.object_pos, dtype=float)[None], ee[1:]])
+    where = [0]
+    near, near_spot = None, None  # which ee rows are within reach of spots[near_spot]
     attached = None  # None | "partial" | "full"
     slip_left = 0
-    for a in actions:
-        pose = pose + a.deltas()
-        depth = 1.0 - a.gripper_cmd
-        ee = pose[:3]
+    for t, depth in enumerate((1.0 - actions[:, GRIPPER]).tolist(), start=1):
         if attached is None:
-            if depth >= scene.partial_floor and np.linalg.norm(ee - obj) <= scene.grasp_tolerance:
-                attached = "full" if depth >= scene.attach_strength else "partial"
-                slip_left = scene.slip_delay
+            if depth >= scene.partial_floor:
+                if near_spot != where[-1]:
+                    near_spot = where[-1]
+                    near = _near(ee, spots[near_spot], scene.grasp_tolerance)
+                if near[t]:
+                    attached = "full" if depth >= scene.attach_strength else "partial"
+                    slip_left = scene.slip_delay
         else:
             if depth < scene.partial_floor:
                 attached = None  # released; object stays where it is
@@ -232,26 +249,24 @@ def _simulate(scene: SceneSpec, actions: Sequence[Action]) -> _SimResult:
                     slip_left -= 1
                     if slip_left <= 0:
                         attached = None  # slipped out of the weak grasp
-        if attached is not None:
-            obj = ee.copy()
-        states.append(EndEffectorState(pose[0], pose[1], pose[2], pose[3], pose[4],
-                                       pose[5], a.gripper_cmd))
-        obj_traj.append(obj.copy())
+        where.append(t if attached is not None else where[-1])
+    obj_traj = spots[where]
     goal = np.asarray(scene.goal_pos, dtype=float)
     ok = np.linalg.norm(obj_traj[-1] - goal) <= scene.grasp_tolerance
-    return _SimResult(tuple(states), np.stack(obj_traj), "success" if ok else "fail")
+    return states, obj_traj, "success" if ok else "fail"
 
 
-def resimulate(scene: SceneSpec, actions: Sequence[Action], rollout_id: str = "",
+def resimulate(scene: SceneSpec, actions, rollout_id: str = "",
                task: str = "pick-and-place") -> Rollout:
-    """Integrate an arbitrary action sequence from the scene's start state.
+    """Integrate an arbitrary (T, 7) action array from the scene's start state.
 
     Never fails on the action content: failed grasps are legitimate outputs,
     reported through the outcome field.
     """
-    sim = _simulate(scene, actions)
-    return Rollout(id=rollout_id, task=task, states=sim.states, actions=tuple(actions),
-                   outcome=sim.outcome, meta={"scene": scene.to_dict()})
+    actions = step_array(actions, "action")
+    states, _, outcome = _simulate(scene, actions)
+    return Rollout(id=rollout_id, task=task, states=states, actions=actions,
+                   outcome=outcome, meta={"scene": scene.to_dict()})
 
 
 def _smooth_profile(n: int) -> np.ndarray:
@@ -283,7 +298,7 @@ def script_success(scene: SceneSpec, horizon: int = 60, rollout_id: str = "",
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(scene.seed),
                                                        spawn_key=(1,)))
     s0 = scene.start_state()
-    p0 = np.array([s0.x, s0.y, s0.z])
+    p0 = s0[:3]
     obj = np.asarray(scene.object_pos, dtype=float)
     goal = np.asarray(scene.goal_pos, dtype=float)
 
@@ -301,16 +316,13 @@ def script_success(scene: SceneSpec, horizon: int = 60, rollout_id: str = "",
     pos[k_close + 1 + n_tr:] = goal
 
     yaw_amp = rng.uniform(0.0, 0.05)
-    yaw = s0.yaw + yaw_amp * np.sin(np.pi * np.arange(horizon + 1) / horizon)
+    yaw = s0[5] + yaw_amp * np.sin(np.pi * np.arange(horizon + 1) / horizon)
 
-    cmds = np.ones(horizon)
-    cmds[k_close:] = 0.0
-
-    actions = []
-    for t in range(horizon):
-        d = pos[t + 1] - pos[t]
-        actions.append(Action(d[0], d[1], d[2], 0.0, 0.0,
-                              float(wrap_angle(yaw[t + 1] - yaw[t])), float(cmds[t])))
+    actions = np.zeros((horizon, 7))
+    actions[:, :3] = pos[1:] - pos[:-1]
+    actions[:, 5] = wrap_angle(yaw[1:] - yaw[:-1])
+    actions[:, GRIPPER] = 1.0
+    actions[k_close:, GRIPPER] = 0.0
     ro = resimulate(scene, actions, rollout_id=rollout_id, task=task)
     if ro.outcome != "success":
         raise SceneError("scripted demonstration did not reach the goal; "
@@ -338,15 +350,14 @@ def synthesize_observations(rollout: Rollout, scene: SceneSpec,
     cam = scene.camera
     n = len(rollout.states)
     T = n - 1
-    sim = _simulate(scene, rollout.actions)
+    _, object_traj, _ = _simulate(scene, rollout.actions)
 
     gx, gy = np.meshgrid(_GRID_X, _GRID_Y, indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel(), np.full(GRID_W * GRID_H, TABLE_Z)], axis=1)
     base_px = cam.project(grid)
 
-    ee_pos = np.stack([s.pose()[:3] for s in rollout.states])
-    ee_px = cam.project(ee_pos)
-    obj_px = cam.project(sim.object_traj)
+    ee_px = cam.project(rollout.states[:, :3])
+    obj_px = cam.project(object_traj)
 
     points = np.repeat(base_px[:, None, :], n, axis=1)
     cell_obj = int(np.argmin(np.linalg.norm(base_px - obj_px[0], axis=1)))
@@ -375,7 +386,7 @@ def synthesize_observations(rollout: Rollout, scene: SceneSpec,
         parity = np.cumsum(toggles, axis=1) % 2
         masks[:, 1:] = parity == 0
 
-    q = joint_surrogate(np.stack([s.pose() for s in rollout.states]))
+    q = joint_surrogate(rollout.poses())
     if artifacts.joint_spike > 0:
         q[n // 2, 0] += artifacts.joint_spike
 

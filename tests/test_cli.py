@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,92 @@ class TestExitCodes:
                     "--config", cfgfile) == 0
 
 
+def _mutated_candidates(workdir, tmp_path, mutate):
+    recs = list(read_records(workdir / "cands.jsonl"))
+    mutate(recs[0])
+    path = tmp_path / "cands.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return path
+
+
+def _set(field, i, j, value):
+    def mutate(rec):
+        rec[field][i][j] = value
+    return mutate
+
+
+def _set_field(field, value):
+    def mutate(rec):
+        rec[field] = value
+    return mutate
+
+
+def _set_row(field, i, value):
+    def mutate(rec):
+        rec[field][i] = value
+    return mutate
+
+
+def _six_wide(rec):
+    rec["states"] = [row[:6] for row in rec["states"]]
+
+
+class TestMalformedRecords:
+    """Malformed state/action rows exit 2; bad values exit 4."""
+
+    @pytest.mark.parametrize("mutate, code", [
+        pytest.param(lambda r: r["states"][3].append([0.0]), 2, id="nested-value"),
+        pytest.param(lambda r: r["actions"][0].pop(), 2, id="ragged"),
+        pytest.param(_set_row("actions", 2, [0.0, 0.0, 0.0]), 2, id="short-row"),
+        pytest.param(_six_wide, 2, id="6-wide"),
+        pytest.param(_set("states", 5, 2, None), 2, id="null-value"),
+        pytest.param(_set_row("actions", 4, None), 2, id="null-row"),
+        pytest.param(_set_field("actions", None), 2, id="null-field"),
+        pytest.param(_set("actions", 1, 0, "abc"), 2, id="string"),
+        pytest.param(_set("states", 1, 0, "0.5"), 2, id="number-string"),
+        pytest.param(_set("states", 7, 1, float("nan")), 4, id="nan"),
+        pytest.param(_set("actions", 7, 5, float("inf")), 4, id="inf"),
+        pytest.param(_set("states", 0, 6, 1.5), 4, id="gripper-1.5"),
+        pytest.param(_set("actions", 9, 6, 1.5), 4, id="gripper_cmd-1.5"),
+        pytest.param(_set("actions", 9, 6, -0.5), 4, id="gripper_cmd-negative"),
+        pytest.param(_set_field("states", []), 4, id="no-states"),
+        pytest.param(lambda r: r["states"].pop(), 4, id="length"),
+    ])
+    def test_exit_code(self, workdir, tmp_path, capsys, mutate, code):
+        path = _mutated_candidates(workdir, tmp_path, mutate)
+        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                    "-o", tmp_path / "r.jsonl", "--seed", 11) == code
+        err = capsys.readouterr().err
+        assert ("schema error" if code == 2 else "validation error") in err
+
+    def test_first_fault_in_row_order_wins(self, workdir, tmp_path):
+        """A bad value in an earlier row is reported before a schema fault in
+        a later row or field, and the other way round."""
+        def value_first(rec):
+            rec["states"][2][0] = float("nan")
+            rec["actions"][3][1] = None
+        def schema_first(rec):
+            rec["states"][2][0] = None
+            rec["states"][4][0] = float("nan")
+        def value_first_in_row(rec):
+            rec["states"][2][0] = float("nan")
+            rec["states"][2][1] = {}
+        def length_last(rec):  # zero states is a length fault, checked last
+            rec["states"] = []
+            rec["actions"][0] = None
+        for mutate, code in ((value_first, 4), (schema_first, 2),
+                             (value_first_in_row, 4), (length_last, 2)):
+            path = _mutated_candidates(workdir, tmp_path, mutate)
+            assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                        "-o", tmp_path / "r.jsonl", "--seed", 11) == code
+
+    def test_record_that_is_not_an_object_is_2(self, workdir, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        path.write_text("[1, 2, 3]\n")
+        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                    "-o", tmp_path / "r.jsonl", "--seed", 11) == 2
+
+
 class TestQuarantine:
     def test_dying_judge_quarantines_batch(self, workdir, tmp_path):
         import sys
@@ -230,6 +317,40 @@ ANSWER_EVERY_LINE = (
     "for line in sys.stdin:\n"
     "    print(json.dumps({'valid_failure': True, 'visual_ok': True,"
     " 'rationale': 'ok'}), flush=True)\n")
+
+
+HANG_AFTER_READING = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    pass\n")
+
+
+class TestHungJudge:
+    def test_hung_judge_quarantines_every_candidate(self, workdir, tmp_path,
+                                                    monkeypatch):
+        """A judge that reads requests and never answers costs one deadline,
+        not a hung run; it has exited when verify returns."""
+        from failsynth.semantic import PipeClient
+        script = tmp_path / "hang.py"
+        script.write_text(HANG_AFTER_READING)
+        made = []
+
+        def short_deadline(endpoint, floors=None):
+            made.append(PipeClient(endpoint[5:].split(), timeout=0.5))
+            return made[-1]
+        monkeypatch.setattr(pipeline, "client_from_endpoint", short_deadline)
+        start = time.monotonic()
+        assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                    workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                    "--manifest", tmp_path / "m.json",
+                    "--endpoint", f"pipe:{sys.executable} {script}",
+                    "--seed", 11) == 0
+        assert time.monotonic() - start < 30
+        m = json.loads((tmp_path / "m.json").read_text())
+        assert m["quarantined"] == m["generated"] == 12
+        assert m["retained"] == m["rejected"] == 0
+        (client,) = made
+        assert client.proc.returncode is not None
 
 
 class TestJudgeLifetime:

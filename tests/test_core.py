@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failsynth.core import (Action, EndEffectorState, JointTrace, Rollout,
-                            TrackSet, crossings, detect_keyframes, state_diff,
+from failsynth.core import (GRIPPER, JointTrace, Rollout, TrackSet, crossings,
+                            detect_keyframes, state_diff, step_array,
                             wrap_angle)
 from failsynth.errors import ValidationError
 
 
 def _state(x=0.0, y=0.0, z=0.2, roll=0.0, pitch=0.0, yaw=0.0, gripper=1.0):
-    return EndEffectorState(x, y, z, roll, pitch, yaw, gripper)
+    return [x, y, z, roll, pitch, yaw, gripper]
 
 
 def _noop(gripper_cmd=1.0):
-    return Action(0, 0, 0, 0, 0, 0, gripper_cmd)
+    return [0, 0, 0, 0, 0, 0, gripper_cmd]
 
 
 class TestWrapAngle:
@@ -45,21 +45,36 @@ class TestWrapAngle:
 class TestStateAndAction:
     def test_gripper_bounds(self):
         with pytest.raises(ValidationError):
-            _state(gripper=1.5)
+            step_array([_state(gripper=1.5)], "state")
         with pytest.raises(ValidationError):
-            Action(0, 0, 0, 0, 0, 0, -0.1)
+            step_array([_noop(-0.1)], "action")
+        with pytest.raises(ValidationError):
+            Rollout(id="r", task="t", states=[_state(), _state(gripper=1.5)],
+                    actions=[_noop()])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            _state(x=float("nan"))
+            step_array([_state(x=float("nan"))], "state")
         with pytest.raises(ValidationError):
-            Action(float("inf"), 0, 0, 0, 0, 0, 1.0)
+            step_array([[float("inf"), 0, 0, 0, 0, 0, 1.0]], "action")
+        with pytest.raises(ValidationError):
+            Rollout(id="r", task="t", states=[_state(), _state()],
+                    actions=[[0, 0, float("nan"), 0, 0, 0, 1.0]])
+
+    def test_row_width(self):
+        with pytest.raises(ValidationError):
+            step_array([_state()[:6]], "state")
+        with pytest.raises(ValidationError):
+            step_array(_noop(), "action")  # one row, not a list of rows
 
     def test_pose_and_deltas(self):
-        s = _state(x=1, y=2, z=3, roll=0.1, pitch=0.2, yaw=0.3)
-        assert np.array_equal(s.pose(), [1, 2, 3, 0.1, 0.2, 0.3])
-        a = Action(1, 2, 3, 4, 5, 6, 0.5)
-        assert np.array_equal(a.deltas(), [1, 2, 3, 4, 5, 6])
+        ro = Rollout(id="r", task="t",
+                     states=[_state(x=1, y=2, z=3, roll=0.1, pitch=0.2, yaw=0.3),
+                             _state()],
+                     actions=[[1, 2, 3, 4, 5, 6, 0.5]])
+        assert np.array_equal(ro.poses()[0], [1, 2, 3, 0.1, 0.2, 0.3])
+        assert np.array_equal(ro.actions[0, :GRIPPER], [1, 2, 3, 4, 5, 6])
+        assert np.array_equal(ro.gripper_channel(), [1.0, 1.0])
 
 
 class TestRollout:
@@ -84,14 +99,21 @@ class TestRollout:
                     actions=[_noop()], outcome="maybe")
 
     def test_immutability(self):
-        ro = Rollout(id="r", task="t", states=[_state(), _state()],
-                     actions=[_noop()])
+        rows = np.array([_state(), _state()])
+        ro = Rollout(id="r", task="t", states=rows, actions=[_noop()])
         with pytest.raises(AttributeError):
             ro.id = "other"
+        with pytest.raises(ValueError):
+            ro.states[0, 0] = 1.0  # read-only
+        with pytest.raises(ValueError):
+            ro.actions[0, 0] = 1.0
+        rows[0, 0] = 5.0  # the rollout holds its own copy
+        assert ro.states[0, 0] == 0.0
+        assert ro.states.dtype == np.float64
 
     def test_step_bound(self):
         ro = Rollout(id="r", task="t", states=[_state(), _state()],
-                     actions=[Action(0.5, 0, 0, 0, 0, 0, 1.0)])
+                     actions=[[0.5, 0, 0, 0, 0, 0, 1.0]])
         ro.check_step_bound(0.6)
         with pytest.raises(ValidationError):
             ro.check_step_bound(0.4)
@@ -151,11 +173,11 @@ class TestKeyframesAndDiff:
         g = demo.gripper_channel()
         assert g[kfs[0] - 1] >= 0.5 > g[kfs[0]]
         # the crossing state follows the first closing action
-        assert demo.actions[kfs[0] - 1].gripper_cmd < 0.5
+        assert demo.actions[kfs[0] - 1, GRIPPER] < 0.5
 
     def test_state_diff_matches_sum_of_deltas(self, demo):
         d = state_diff(demo, 3, 4)
-        total = sum((demo.actions[i].deltas() for i in range(3, 7)),
+        total = sum((demo.actions[i, :GRIPPER] for i in range(3, 7)),
                     np.zeros(6))
         assert np.allclose(d[:3], total[:3], atol=1e-12)
 
@@ -163,7 +185,7 @@ class TestKeyframesAndDiff:
         a = _state(yaw=math.pi - 0.05)
         b = _state(yaw=-math.pi + 0.05)
         ro = Rollout(id="r", task="t", states=[a, b],
-                     actions=[Action(0, 0, 0, 0, 0, 0.1, 1.0)])
+                     actions=[[0, 0, 0, 0, 0, 0.1, 1.0]])
         d = state_diff(ro, 0, 1)
         assert d[5] == pytest.approx(0.1, abs=1e-12)
 

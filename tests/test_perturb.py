@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failsynth.core import FailureType, detect_keyframes
+from failsynth.core import GRIPPER, FailureType, detect_keyframes
 from failsynth.errors import ValidationError
 from failsynth.perturb import (PerturbationSpec, apply_perturbation,
                                draw_translation_offset, inject_delay_close,
@@ -59,7 +59,7 @@ class TestDelayClose:
 
     def test_zero_delay_is_identity(self, demo, keyframe):
         actions, _ = inject_delay_close(demo, keyframe, 0)
-        assert actions == demo.actions
+        assert np.array_equal(actions, demo.actions)
 
     def test_rejects_delay_past_horizon(self, demo, keyframe):
         with pytest.raises(ValidationError):
@@ -69,9 +69,11 @@ class TestDelayClose:
 class TestWeakClose:
     def test_scales_depth(self, demo, keyframe):
         actions, _ = inject_weak_close(demo, keyframe, 0.4)
-        for orig, new in zip(demo.actions[keyframe:], actions[keyframe:]):
-            assert new.gripper_cmd == pytest.approx(1.0 - 0.4 * (1.0 - orig.gripper_cmd))
-        assert actions[:keyframe] == demo.actions[:keyframe]
+        assert actions[keyframe:, GRIPPER] == pytest.approx(
+            1.0 - 0.4 * (1.0 - demo.actions[keyframe:, GRIPPER]))
+        assert np.array_equal(actions[keyframe:, :GRIPPER],
+                              demo.actions[keyframe:, :GRIPPER])
+        assert np.array_equal(actions[:keyframe], demo.actions[:keyframe])
 
     @pytest.mark.parametrize("scale", [0.3, 0.45, 0.6])
     def test_slips_and_fails(self, demo, scene, keyframe, scale):
@@ -92,15 +94,15 @@ class TestForceOpen:
 
     def test_pre_keyframe_open_commands_untouched(self, demo, keyframe):
         actions, _ = inject_force_open(demo, keyframe)
-        assert actions[:keyframe] == demo.actions[:keyframe]
+        assert np.array_equal(actions[:keyframe], demo.actions[:keyframe])
 
 
 class TestTranslation:
     def test_offset_sums_over_window(self, demo, keyframe):
         actions, spec = inject_translation(demo, keyframe, window=5, sigma=0.02,
                                            seed=9, min_offset=0.01)
-        ddx = sum(a.dx for a in actions) - sum(a.dx for a in demo.actions)
-        ddy = sum(a.dy for a in actions) - sum(a.dy for a in demo.actions)
+        ddx = sum(actions[:, 0]) - sum(demo.actions[:, 0])
+        ddy = sum(actions[:, 1]) - sum(demo.actions[:, 1])
         assert ddx == pytest.approx(spec.offset_x, abs=1e-12)
         assert ddy == pytest.approx(spec.offset_y, abs=1e-12)
 
@@ -112,7 +114,7 @@ class TestTranslation:
     def test_gripper_untouched(self, demo, keyframe):
         actions, _ = inject_translation(demo, keyframe, window=5, sigma=0.02,
                                         seed=9, min_offset=0.01)
-        assert [a.gripper_cmd for a in actions] == [a.gripper_cmd for a in demo.actions]
+        assert np.array_equal(actions[:, GRIPPER], demo.actions[:, GRIPPER])
 
 
 class TestDrawOffset:
@@ -148,7 +150,7 @@ class TestReapplication:
         ]
         for actions, spec in cases:
             rebuilt = PerturbationSpec.from_dict(spec.to_dict())
-            assert apply_perturbation(demo.actions, rebuilt) == actions
+            assert np.array_equal(apply_perturbation(demo.actions, rebuilt), actions)
 
     @settings(max_examples=30, deadline=None)
     @given(delay=st.integers(min_value=0, max_value=10),
@@ -160,5 +162,5 @@ class TestReapplication:
         ):
             a = apply_perturbation(demo.actions, spec)
             b = apply_perturbation(demo.actions, spec)
-            assert a == b
-            assert len(a) == demo.horizon
+            assert np.array_equal(a, b)
+            assert a.shape == demo.actions.shape

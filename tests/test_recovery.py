@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from failsynth.core import FailureType, detect_keyframes
+from failsynth.core import GRIPPER, FailureType, detect_keyframes
 from failsynth.errors import SchemaError, ValidationError
 from failsynth.labels import FixLabel, generate_label
 from failsynth.perturb import (inject_delay_close, inject_force_open,
@@ -96,14 +96,14 @@ class TestApplyPrimitives:
     def test_translate_preserves_total_displacement(self, demo):
         prims = [TranslateDelta(dx=0.02, dy=-0.01, at=20)]
         edited = apply_primitives(demo.actions, prims)
-        ddx = sum(a.dx for a in edited) - sum(a.dx for a in demo.actions)
+        ddx = sum(edited[:, 0]) - sum(demo.actions[:, 0])
         assert ddx == pytest.approx(0.02, abs=1e-12)
 
     def test_gripper_clamp_from_anchor(self, demo, keyframe):
         prims = [GripperClose(at=keyframe, strength=1.0)]
         edited = apply_primitives(demo.actions, prims)
-        assert all(a.gripper_cmd == 0.0 for a in edited[keyframe:])
-        assert edited[:keyframe] == demo.actions[:keyframe]
+        assert np.all(edited[keyframe:, GRIPPER] == 0.0)
+        assert np.array_equal(edited[:keyframe], demo.actions[:keyframe])
 
     def test_anchor_bounds(self, demo):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,52 @@ class TestPipeClient:
                              "import sys; sys.stdin.readline(); print('not json')"])
         with pytest.raises(TransportError):
             client.judge(_req())
+
+    def test_silent_judge_times_out(self):
+        client = PipeClient([sys.executable, "-c",
+                             "import sys\nfor line in sys.stdin: pass"], timeout=0.3)
+        try:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="did not answer"):
+                client.judge(_req())
+            assert 0.3 <= time.monotonic() - start < 5
+        finally:
+            client.close()
+        assert client.proc.returncode == 0
+
+    def test_late_reply_is_never_taken_for_the_next(self):
+        """After a timeout every request fails at once, even once the judge
+        has sent its late reply to the first."""
+        late = ("import json, sys, time\n"
+                "for line in sys.stdin:\n"
+                "    time.sleep(0.6)\n"
+                "    print(json.dumps({'valid_failure': False, 'visual_ok': False,"
+                " 'rationale': 'late'}), flush=True)\n")
+        client = PipeClient([sys.executable, "-c", late], timeout=0.2)
+        try:
+            with pytest.raises(TransportError):
+                client.judge(_req())
+            time.sleep(0.8)  # the late reply is in the pipe now
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="earlier request"):
+                client.judge(_req())
+            assert time.monotonic() - start < 0.1
+        finally:
+            client.close()
+
+    def test_reply_split_across_writes(self):
+        chunked = ("import sys, time\n"
+                   "sys.stdin.readline()\n"
+                   "sys.stdout.write('{\"valid_failure\": true, ')\n"
+                   "sys.stdout.flush(); time.sleep(0.1)\n"
+                   "sys.stdout.write('\"visual_ok\": true, \"rationale\": \"x\"}\\n')\n"
+                   "sys.stdout.flush()\n")
+        client = PipeClient([sys.executable, "-c", chunked], timeout=5)
+        try:
+            assert client.judge(_req()) == {"valid_failure": True, "visual_ok": True,
+                                            "rationale": "x"}
+        finally:
+            client.close()
 
     def test_missing_binary_raises_transport_error(self):
         with pytest.raises(TransportError):
