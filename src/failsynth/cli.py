@@ -15,13 +15,13 @@ import sys
 from . import pipeline
 from .config import load_config
 from .errors import SchemaError, TransportError, ValidationError
+from .metrics import render_report
 from .rollout_io import read_json
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (all keys optional)")
     p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--workers", type=int, help="override the worker count")
     p.add_argument("--endpoint", help="override the semantic verifier endpoint "
                                       "(mock | pipe:<cmd> | http(s)://<url>)")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -31,8 +31,6 @@ def _config(args) -> "pipeline.PipelineConfig":
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if getattr(args, "endpoint", None):
         overrides["semantic_endpoint"] = args.endpoint
     return load_config(args.config, overrides)
@@ -99,7 +97,7 @@ def run(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command == "report":
-        print(pipeline.render_text_report(read_json(args.input)))
+        print(render_report(read_json(args.input)))
         return 0
     cfg = _config(args)
     if args.command == "generate":
@@ -122,7 +120,7 @@ def run(argv=None) -> int:
     elif args.command == "evaluate":
         out = pipeline.cmd_evaluate(cfg, args.input, args.predictions,
                                     report_path=args.out)
-        print(pipeline.render_text_report(out))
+        print(render_report(out))
         return 0
     else:  # unreachable with required=True
         raise ValueError(args.command)

@@ -63,25 +63,15 @@ class LabelConfig:
 
 
 @dataclass(frozen=True)
-class TriggerConfig:
-    action_budget: int = 80
-    clip_length: int = 40
-    downsample_stride: int = 2
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     horizon: int = 60
-    workers: int = 1
     semantic_endpoint: str = "mock"
-    judge_endpoint: str = "mock"
     scene: SceneConfig = field(default_factory=SceneConfig)
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
     tracks: TrackScoreConfig = field(default_factory=TrackScoreConfig)
     label: LabelConfig = field(default_factory=LabelConfig)
-    trigger: TriggerConfig = field(default_factory=TriggerConfig)
     cap: int = 3
     delta_k: int = 2
 
@@ -95,7 +85,7 @@ class PipelineConfig:
 
 _SECTIONS = {"scene": SceneConfig, "perturb": PerturbConfig,
              "verifier": VerifierConfig, "tracks": TrackScoreConfig,
-             "label": LabelConfig, "trigger": TriggerConfig}
+             "label": LabelConfig}
 
 # JSON types accepted per annotated field type; tuples hold numbers.
 _NUMBER = (int, float)

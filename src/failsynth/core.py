@@ -119,7 +119,7 @@ class Rollout:
     (T, 7) float array with columns dx dy dz droll dpitch dyaw gripper_cmd.
     Both are copied and validated by step_array at construction. Every
     observation channel shares the states' timebase. Immutable after
-    construction; safe to share across workers.
+    construction.
     """
 
     id: str

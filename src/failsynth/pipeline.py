@@ -2,13 +2,12 @@
 labeling, recovery, and evaluation, with per-stage manifests.
 
 Every stage is deterministic given (inputs, config, seed): per-rollout seeds
-are derived structurally, output record order follows input order regardless
-of worker scheduling, and all artifacts carry the config hash.
+are derived structurally, output record order follows input order, and all
+artifacts carry the config hash.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -19,14 +18,13 @@ from .config import PipelineConfig
 from .core import FailureType, Rollout, detect_keyframes
 from .errors import SchemaError, TransportError, ValidationError
 from .labels import generate_label, parse, serialize, LabelError
-from .metrics import evaluate_dataset, render_report
+from .metrics import evaluate_dataset
 from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
                       inject_weak_close)
 from .recovery import map_to_primitives, replay_with_recovery
 from .rollout_io import (read_records, read_rollouts, rollout_from_record,
-                         rollout_to_record, write_json, write_records,
-                         write_rollouts)
+                         write_json, write_records, write_rollouts)
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
 from .verify import (calibrate_idm, calibrate_joints, joint_exceedance,
@@ -195,14 +193,6 @@ def _summary_stats(scores: Sequence, mae: Sequence[tuple[float, float]],
     return {k: float(np.mean(v)) if v else None for k, v in columns.items()}
 
 
-def _verify_worker(args):
-    rec, cfg_dict = args
-    from .config import _build  # local import keeps the worker picklable
-    cfg = _build(PipelineConfig, cfg_dict)
-    cand = rollout_from_record(rec)
-    return rollout_to_record(_with_observations(cand, cfg))
-
-
 def _check_accounting(manifest: dict) -> None:
     """Every candidate is retained, rejected or quarantined, exactly once."""
     total = manifest["retained"] + manifest["rejected"] + manifest["quarantined"]
@@ -220,16 +210,8 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
     client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
     try:
         records = list(read_records(candidates_path))
-
-        if cfg.workers > 1:
-            cfg_dict = cfg.to_dict()
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                observed = list(pool.map(_verify_worker,
-                                         [(rec, cfg_dict) for rec in records]))
-            candidates = [rollout_from_record(rec) for rec in observed]
-        else:
-            candidates = [_with_observations(rollout_from_record(rec), cfg)
-                          for rec in records]
+        candidates = [_with_observations(rollout_from_record(rec), cfg)
+                      for rec in records]
 
         retained_records = []
         counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
@@ -389,7 +371,3 @@ def cmd_evaluate(cfg: PipelineConfig, labeled_path, predictions_path,
     if report_path:
         write_json(report_path, report)
     return report
-
-
-def render_text_report(report: dict) -> str:
-    return render_report(report)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Rollout, JointTrace, state_diff, state_diffs
-from .errors import InsufficientTrackingError, ValidationError
+from .errors import InsufficientTrackingError, TransportError, ValidationError
 from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_tracks
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
 
@@ -41,8 +41,8 @@ class OraclePredictor:
 class NoisyPredictor:
     """Oracle plus deterministic per-sample Gaussian noise and optional bias.
 
-    Noise is seeded from (seed, rollout id, t, d) so verification order and
-    parallelism cannot change the result.
+    Noise is seeded from (seed, rollout id, t, d) so verification order
+    cannot change the result.
     """
 
     def __init__(self, sigma_xyz: float = 0.0, sigma_rpy: float = 0.0,
@@ -278,7 +278,8 @@ def verify_semantic(rollout: Rollout, reference: Optional[Rollout],
                     client) -> tuple[bool, bool]:
     """Two judgments: is this a valid failure, and is the clip visually clean.
 
-    Transport errors propagate; the pipeline quarantines the rollout.
+    Transport errors propagate; the pipeline quarantines the rollout. A reply
+    that is not a JSON object carrying both judgments is one too.
     """
     request = {
         "instruction": rollout.task,
@@ -286,6 +287,8 @@ def verify_semantic(rollout: Rollout, reference: Optional[Rollout],
         "candidate_clip_ref": clip_descriptor(rollout),
     }
     resp = client.judge(request)
+    if not isinstance(resp, dict) or not {"valid_failure", "visual_ok"} <= resp.keys():
+        raise TransportError(f"judge reply lacks valid_failure/visual_ok: {resp!r:.200}")
     return bool(resp["valid_failure"]), bool(resp["visual_ok"])
 
 

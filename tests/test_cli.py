@@ -133,13 +133,6 @@ class TestDeterminism:
                      "retained.jsonl", "labeled.jsonl"):
             assert (d / name).read_bytes() == (workdir / name).read_bytes()
 
-    def test_parallel_verify_matches_single_worker(self, workdir, tmp_path):
-        _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
-             workdir / "calib.json", "-o", tmp_path / "retained.jsonl",
-             "--seed", 11, "--workers", 2)
-        assert (tmp_path / "retained.jsonl").read_bytes() == \
-            (workdir / "retained.jsonl").read_bytes()
-
     def test_seed_changes_output(self, workdir, tmp_path):
         _run("generate", "-n", 3, "-o", tmp_path / "demos.jsonl", "--seed", 12)
         assert (tmp_path / "demos.jsonl").read_bytes() != \
@@ -172,11 +165,19 @@ class TestExitCodes:
         assert _run("calibrate", "-i", tmp_path / "nope.jsonl",
                     "-o", tmp_path / "c.json") == 4
 
-    def test_unknown_config_key_is_2(self, workdir, tmp_path):
+    @pytest.mark.parametrize("content", [
+        '{"wormholes": 3}', '{"workers": 1}', '{"judge_endpoint": "mock"}',
+        '{"trigger": {"action_budget": 80}}'])
+    def test_unknown_config_key_is_2(self, workdir, tmp_path, content):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text('{"wormholes": 3}')
+        cfgfile.write_text(content)
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 2
+
+    def test_workers_flag_is_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl", "--workers", 2)
+        assert exc.value.code == 2
 
     def test_malformed_config_json_is_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -310,6 +311,25 @@ class TestQuarantine:
         assert m["quarantined"] == m["generated"] - 1
         assert m["retained"] + m["rejected"] == 1
         assert m["retained"] + m["rejected"] + m["quarantined"] == m["generated"]
+
+    @pytest.mark.parametrize("reply", [
+        "{}", "[]", '{"valid_failure": true}', '"ok"'])
+    def test_reply_without_judgments_quarantines(self, workdir, tmp_path, capsys,
+                                                 reply):
+        """A judge answering JSON that is not an object with valid_failure
+        and visual_ok has each candidate quarantined, without a traceback."""
+        script = tmp_path / "judge_bad_reply.py"
+        script.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          f"    print({reply!r}, flush=True)\n")
+        assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                    workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                    "--manifest", tmp_path / "m.json",
+                    "--endpoint", f"pipe:{sys.executable} {script}",
+                    "--seed", 11) == 0
+        m = json.loads((tmp_path / "m.json").read_text())
+        assert m["quarantined"] == m["generated"] == 12
+        assert "Traceback" not in capsys.readouterr().err
 
 
 ANSWER_EVERY_LINE = (
