@@ -15,8 +15,7 @@ import sys
 from . import pipeline
 from .config import load_config
 from .errors import SchemaError, TransportError, ValidationError
-from .metrics import render_report
-from .rollout_io import read_json
+from .metrics import read_report, render_report
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -31,7 +30,7 @@ def _config(args) -> "pipeline.PipelineConfig":
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "endpoint", None):
+    if args.endpoint:
         overrides["semantic_endpoint"] = args.endpoint
     return load_config(args.config, overrides)
 
@@ -50,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="inject failures into demonstrations")
     p.add_argument("-i", "--input", required=True, help="success rollout JSONL")
     p.add_argument("-o", "--out", required=True, help="candidate rollout JSONL")
-    p.add_argument("--types", help="comma-separated failure-type subset")
     p.add_argument("--manifest", help="manifest JSON path")
     _add_common(p)
 
@@ -88,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render an evaluation report as text")
     p.add_argument("-i", "--input", required=True, help="report JSON path")
-    _add_common(p)
+    p.add_argument("-v", "--verbose", action="store_true")
     return ap
 
 
@@ -97,15 +95,13 @@ def run(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command == "report":
-        print(render_report(read_json(args.input)))
+        print(render_report(read_report(args.input)))
         return 0
     cfg = _config(args)
     if args.command == "generate":
         out = pipeline.cmd_generate(cfg, args.n, args.out, args.manifest)
     elif args.command == "perturb":
-        types = args.types.split(",") if args.types else None
-        out = pipeline.cmd_perturb(cfg, args.input, args.out, args.manifest,
-                                   types=types)
+        out = pipeline.cmd_perturb(cfg, args.input, args.out, args.manifest)
     elif args.command == "calibrate":
         out = pipeline.cmd_calibrate(cfg, args.input, args.out)
     elif args.command == "verify":

@@ -83,53 +83,60 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_SECTIONS = {"scene": SceneConfig, "perturb": PerturbConfig,
-             "verifier": VerifierConfig, "tracks": TrackScoreConfig,
-             "label": LabelConfig}
+_SECTIONS = {c.__name__: c for c in (SceneConfig, PerturbConfig, VerifierConfig,
+                                      TrackScoreConfig, LabelConfig)}
 
-# JSON types accepted per annotated field type; tuples hold numbers.
+# JSON types accepted per annotated field type; tuples and arrays hold numbers.
 _NUMBER = (int, float)
 _ACCEPTS = {"int": int, "float": _NUMBER, "str": str, "dict": dict,
-            "tuple": (list, tuple)}
+            "tuple": (list, tuple), "np.ndarray": list}
+_NUMBER_LISTS = ("tuple", "np.ndarray")
 
 
 def _of_type(v, types) -> bool:
     return isinstance(v, types) and not isinstance(v, bool)
 
 
-def _build(cls, data):
+def check_type(name: str, v, type_name: str) -> None:
+    """SchemaError unless the JSON value v fits the annotated type name."""
+    if not _of_type(v, _ACCEPTS[type_name]) or (
+            type_name in _NUMBER_LISTS and not all(_of_type(x, _NUMBER) for x in v)):
+        raise SchemaError(f"{name} must be of type {type_name}, got {json.dumps(v)}")
+
+
+def build_from_json(cls, data):
+    """Instantiate a dataclass from a JSON object, type-checking every field;
+    a field without a default is required."""
     if not isinstance(data, dict):
         raise SchemaError(f"{cls.__name__} must be a JSON object, "
                           f"got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise SchemaError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in data
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise SchemaError(f"{cls.__name__} lacks keys: {missing}")
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name not in data:
             continue
         v = data[f.name]
-        sub = _SECTIONS.get(f.name)
+        sub = _SECTIONS.get(f.type)
         if sub is not None:
-            v = _build(sub, v)
-        elif not _of_type(v, _ACCEPTS[f.type]) or (
-                f.type == "tuple" and not all(_of_type(x, _NUMBER) for x in v)):
-            raise SchemaError(f"{cls.__name__}.{f.name} must be of type {f.type}, "
-                              f"got {json.dumps(v)}")
-        elif isinstance(v, list):
-            v = tuple(v)
+            v = build_from_json(sub, v)
+        else:
+            check_type(f"{cls.__name__}.{f.name}", v, f.type)
+            if isinstance(v, list):
+                v = tuple(v)
         kwargs[f.name] = v
     return cls(**kwargs)
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Load a JSON config file (all keys optional) plus CLI overrides."""
-    try:
-        data = read_json(path) if path else {}
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("config file must contain a JSON object")
+    data = read_json(path) if path else {}
     data.update(overrides or {})
-    return _build(PipelineConfig, data)
+    return build_from_json(PipelineConfig, data)

@@ -158,12 +158,6 @@ class Rollout:
     def poses(self) -> np.ndarray:
         return self.states[:, :GRIPPER]
 
-    def check_step_bound(self, max_step: float) -> None:
-        """Reject per-step deltas beyond the configured magnitude bound."""
-        over = np.nonzero(np.abs(self.actions[:, :GRIPPER]).max(axis=1) > max_step)[0]
-        if over.size:
-            raise ValidationError(f"action {over[0]} exceeds max step {max_step}")
-
 
 def crossings(channel: Sequence[float], threshold: float) -> list[int]:
     """Indices t where the channel crosses threshold between t-1 and t.

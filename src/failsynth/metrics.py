@@ -10,9 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check_type
 from .core import FailureType
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .labels import FixLabel, LabelError, parse
+from .rollout_io import read_json
 
 # schema tokens must survive tokenization, so '=' and '_' are kept
 _PUNCT_RE = re.compile(r"[^\w=\s]")
@@ -217,6 +219,24 @@ def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], judge=None,
         "records": [r.to_dict() for r in records],
         "embedder": "token-frequency stand-in",
     }
+
+
+# The fields render_report reads and their JSON types; acc may also be null.
+_REPORT_FIELDS = {"rouge_l": "float", "cosine": "float", "bin_succ": "float",
+                  "fuzzy": "float", "acc": "float", "count": "int",
+                  "acc_count": "int", "embedder": "str"}
+
+
+def read_report(path) -> dict:
+    """Read an evaluation report JSON; a missing or mistyped field render_report
+    reads is a SchemaError."""
+    report = read_json(path)
+    for key, type_name in _REPORT_FIELDS.items():
+        if key not in report:
+            raise SchemaError(f"report {path} lacks {key}")
+        if not (key == "acc" and report[key] is None):
+            check_type(f"report {key}", report[key], type_name)
+    return report
 
 
 def render_report(report: dict, title: str = "evaluation") -> str:

@@ -212,7 +212,7 @@ def draw_translation_offset(sigma: float, seed: int, min_offset: float,
         draws += 1
         if min_offset <= max(abs(ox), abs(oy)) <= max_offset:
             if draws > 1:
-                log.info("translation offset resampled %d times", draws - 1)
+                log.debug("translation offset resampled %d times", draws - 1)
             return float(ox), float(oy), draws
         if draws > 10_000:
             raise ValidationError("translation offset resampling did not converge")

@@ -124,16 +124,14 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
     return replace(cand, spec=spec, meta=meta), resamples
 
 
-def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None,
-                types: Optional[Sequence[str]] = None) -> dict:
-    """One candidate failure per (input rollout, sampled failure type)."""
-    wanted = tuple(FailureType(t) for t in types) if types else FAILURE_TYPES
+def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> dict:
+    """One candidate failure per (input rollout, failure type)."""
     rollouts = read_rollouts(in_path)
     candidates = []
     resample_events = 0
-    per_type = {ft.value: 0 for ft in wanted}
+    per_type = {ft.value: 0 for ft in FAILURE_TYPES}
     for i, ro in enumerate(rollouts):
-        for ft in wanted:
+        for ft in FAILURE_TYPES:
             cand, resamples = perturb_one(ro, cfg, i, ft)
             resample_events += resamples
             per_type[ft.value] += 1
@@ -148,7 +146,7 @@ def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None,
     return manifest
 
 
-def _with_observations(rollout: Rollout, cfg: PipelineConfig) -> Rollout:
+def _with_observations(rollout: Rollout) -> Rollout:
     scene = SceneSpec.from_dict(rollout.meta["scene"])
     artifacts = ArtifactSpec.from_dict(rollout.meta.get("artifacts", {}))
     return synthesize_observations(rollout, scene, artifacts,
@@ -157,7 +155,7 @@ def _with_observations(rollout: Rollout, cfg: PipelineConfig) -> Rollout:
 
 def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
     """p95 calibration of the IDM and joint verifiers on success demos."""
-    demos = [_with_observations(ro, cfg) for ro in read_rollouts(successes_path)]
+    demos = [_with_observations(ro) for ro in read_rollouts(successes_path)]
     if not demos:
         raise ValidationError("cannot calibrate on an empty demo file")
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
@@ -210,8 +208,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
     client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
     try:
         records = list(read_records(candidates_path))
-        candidates = [_with_observations(rollout_from_record(rec), cfg)
-                      for rec in records]
+        candidates = [_with_observations(rollout_from_record(rec)) for rec in records]
 
         retained_records = []
         counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
@@ -220,7 +217,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
         gen_scores, gen_mae, gen_exceed = [], [], []
         for rec, cand in zip(records, candidates):
             try:
-                report = verify_rollout(cand, None, predictor, idm_calib, joint_calib,
+                report = verify_rollout(cand, predictor, idm_calib, joint_calib,
                                         client, cfg.tracks)
             except TransportError as exc:
                 log.warning("quarantining %s: %s", cand.id, exc)

@@ -1,5 +1,5 @@
-"""Closed-loop correction: trigger rule, clip extraction, the deterministic
-label -> control-primitive mapping, trajectory editing, and replay scoring."""
+"""Closed-loop correction: the deterministic label -> control-primitive
+mapping, trajectory editing, and replay scoring."""
 
 from __future__ import annotations
 
@@ -8,26 +8,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import FailureType, Rollout, crossings, step_array
+from .core import FailureType, Rollout, step_array
 from .errors import SchemaError, ValidationError
 from .labels import FixLabel
 from .perturb import clamp_gripper, ramp_translation
 from .world import SceneSpec, resimulate
-
-
-@dataclass(frozen=True)
-class TriggerPolicy:
-    """Event-aligned analyzer invocation with a fixed action budget."""
-
-    action_budget: int = 80
-    clip_length: int = 40
-    downsample_stride: int = 2
-
-    def __post_init__(self):
-        if min(self.action_budget, self.clip_length, self.downsample_stride) <= 0:
-            raise ValidationError("trigger policy fields must be positive")
-        if self.clip_length > self.action_budget:
-            raise ValidationError("clip_length must not exceed action_budget")
 
 
 @dataclass(frozen=True)
@@ -53,25 +38,6 @@ ControlPrimitive = Union[TranslateDelta, GripperClose, Reclose]
 
 RECLOSE_DELAY = 3
 RECLOSE_STRENGTH_BUMP = 0.2
-
-
-def should_invoke(rollout_so_far: Rollout, policy: TriggerPolicy,
-                  threshold: float = 0.5) -> str:
-    """One of invoke_at_keyframe, invoke_at_budget, continue."""
-    g = rollout_so_far.gripper_channel()
-    closing = [t for t in crossings(g, threshold) if g[t] < threshold]
-    if closing:
-        return "invoke_at_keyframe"
-    if rollout_so_far.horizon >= policy.action_budget:
-        return "invoke_at_budget"
-    return "continue"
-
-
-def extract_clip(rollout: Rollout, policy: TriggerPolicy) -> list[int]:
-    """Frame indices of the strided fixed-length suffix clip."""
-    n = rollout.horizon + 1
-    start = max(0, n - policy.clip_length)
-    return list(range(start, n, policy.downsample_stride))
 
 
 def map_to_primitives(label: FixLabel, bin_size: float,
@@ -130,16 +96,3 @@ def replay_with_recovery(scene: SceneSpec, failed_actions,
     ro = resimulate(scene, edited, rollout_id=rollout_id)
     return ro, ro.outcome == "success"
 
-
-def recovery_rate(cases: Sequence[tuple[SceneSpec, np.ndarray,
-                                        Sequence[ControlPrimitive]]],
-                  ramp_window: int = 5) -> tuple[float, int]:
-    """Fraction of failure cases recovered by their predicted corrections."""
-    if not cases:
-        raise ValidationError("recovery rate over an empty case set")
-    wins = 0
-    for scene, failed_actions, primitives in cases:
-        _, ok = replay_with_recovery(scene, failed_actions, primitives,
-                                     ramp_window=ramp_window)
-        wins += ok
-    return wins / len(cases), len(cases)

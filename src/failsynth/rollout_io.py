@@ -137,5 +137,13 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """Read a JSON file that must hold one object; SchemaError otherwise."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path} must contain a JSON object, "
+                          f"got {type(payload).__name__}")
+    return payload

@@ -2,8 +2,11 @@
 
 Wire protocol (shared by the semantic verifier and the eval judge): one
 JSON object per line in, one JSON object per line out. Semantic requests are
-{"instruction", "reference_clip_ref", "candidate_clip_ref"} and responses
-are {"valid_failure": bool, "visual_ok": bool, "rationale": str}.
+{"instruction", "reference_clip_ref", "candidate_clip_ref"}, where
+reference_clip_ref is always null (no stage pairs a candidate with a
+reference clip), and responses are {"valid_failure": bool, "visual_ok": bool,
+"rationale": str}; a judgment that is not a JSON boolean is a transport
+failure.
 
 Transport failures raise TransportError; callers quarantine the affected
 rollout instead of counting it as rejected.

@@ -10,8 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import build_from_json, check_type
 from .core import Rollout, JointTrace, state_diff, state_diffs
-from .errors import InsufficientTrackingError, TransportError, ValidationError
+from .errors import (InsufficientTrackingError, SchemaError, TransportError,
+                     ValidationError)
+from .rollout_io import read_json
 from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_tracks
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
 
@@ -107,10 +110,6 @@ class IdmCalibration:
                 "mae_rpy": self.mae_rpy, "margin": self.margin,
                 "radian_weight": self.radian_weight}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdmCalibration":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class IdmResult:
@@ -198,13 +197,6 @@ class JointCalibration:
                 "p95_a": self.p95_a, "percentile": self.percentile,
                 "margin": self.margin}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JointCalibration":
-        return cls(q_min=np.array(d["q_min"]), q_max=np.array(d["q_max"]),
-                   tau_v=d["tau_v"], tau_a=d["tau_a"], p95_v=d["p95_v"],
-                   p95_a=d["p95_a"], percentile=d.get("percentile", 0.95),
-                   margin=d.get("margin", 2.0))
-
 
 def joint_derivatives(trace: JointTrace) -> tuple[np.ndarray, np.ndarray]:
     """Central finite differences, one-sided at the boundaries."""
@@ -274,22 +266,24 @@ def clip_descriptor(rollout: Rollout) -> dict:
             "artifacts": rollout.meta.get("artifacts")}
 
 
-def verify_semantic(rollout: Rollout, reference: Optional[Rollout],
-                    client) -> tuple[bool, bool]:
+def verify_semantic(rollout: Rollout, client) -> tuple[bool, bool]:
     """Two judgments: is this a valid failure, and is the clip visually clean.
 
     Transport errors propagate; the pipeline quarantines the rollout. A reply
-    that is not a JSON object carrying both judgments is one too.
+    that is not a JSON object carrying both judgments as JSON booleans is one
+    too.
     """
     request = {
         "instruction": rollout.task,
-        "reference_clip_ref": clip_descriptor(reference) if reference else None,
+        "reference_clip_ref": None,
         "candidate_clip_ref": clip_descriptor(rollout),
     }
     resp = client.judge(request)
-    if not isinstance(resp, dict) or not {"valid_failure", "visual_ok"} <= resp.keys():
-        raise TransportError(f"judge reply lacks valid_failure/visual_ok: {resp!r:.200}")
-    return bool(resp["valid_failure"]), bool(resp["visual_ok"])
+    if not (isinstance(resp, dict) and all(isinstance(resp.get(k), bool)
+                                           for k in ("valid_failure", "visual_ok"))):
+        raise TransportError("judge reply lacks boolean valid_failure/visual_ok: "
+                             f"{resp!r:.200}")
+    return resp["valid_failure"], resp["visual_ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def gate(semantic_valid_failure: bool, semantic_visual_ok: bool, idm_pass: bool,
                 and joint_pass and track_pass)
 
 
-def verify_rollout(rollout: Rollout, reference: Optional[Rollout], predictor,
+def verify_rollout(rollout: Rollout, predictor,
                    idm_calib: IdmCalibration, joint_calib: JointCalibration,
                    client, track_cfg: TrackScoreConfig = TrackScoreConfig(),
                    ) -> VerifierReport:
@@ -344,7 +338,7 @@ def verify_rollout(rollout: Rollout, reference: Optional[Rollout], predictor,
 
     TransportError from the semantic client propagates (quarantine path).
     """
-    valid_failure, visual_ok = verify_semantic(rollout, reference, client)
+    valid_failure, visual_ok = verify_semantic(rollout, client)
     idm = verify_idm(rollout, predictor, idm_calib)
     if rollout.joints is None:
         raise ValidationError(f"rollout {rollout.id} missing joint trace")
@@ -381,10 +375,14 @@ def save_calibrations(path, idm: IdmCalibration, joints: JointCalibration,
 
 
 def load_calibrations(path) -> tuple[IdmCalibration, JointCalibration, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a calibration file; a malformed section or value is a SchemaError."""
+    payload = read_json(path)
     if payload.get("version") != CALIBRATION_FORMAT_VERSION:
         raise ValidationError(f"unsupported calibration version {payload.get('version')}")
-    return (IdmCalibration.from_dict(payload["idm"]),
-            JointCalibration.from_dict(payload["joints"]),
-            payload.get("reference_stats", {}))
+    for section in ("idm", "joints"):
+        if section not in payload:
+            raise SchemaError(f"calibration {path} lacks the {section} section")
+    stats = payload.get("reference_stats", {})
+    check_type("calibration reference_stats", stats, "dict")
+    return (build_from_json(IdmCalibration, payload["idm"]),
+            build_from_json(JointCalibration, payload["joints"]), stats)

@@ -176,10 +176,6 @@ class ArtifactSpec:
         if self.flicker_rate > 1.0:
             raise ValidationError("flicker_rate must lie in [0, 1]")
 
-    def is_clean(self) -> bool:
-        return (self.jitter_px == 0 and self.flicker_rate == 0 and self.topo_warp == 0
-                and self.affine_jitter == 0 and self.joint_spike == 0)
-
     def to_dict(self) -> dict:
         return {"jitter_px": self.jitter_px, "flicker_rate": self.flicker_rate,
                 "topo_warp": self.topo_warp, "affine_jitter": self.affine_jitter,

@@ -206,7 +206,7 @@ class TestCriterion4GateCorrectness:
         for i in range(20):
             for ft in types:
                 cand, _ = perturb_one(demos[i], cfg, i, ft)
-                batch.append((_with_observations(cand, cfg), None))
+                batch.append((_with_observations(cand), None))
         for i in range(10):
             for ft in types:
                 cand, _ = perturb_one(demos[i], cfg, i, ft)
@@ -230,7 +230,7 @@ class TestCriterion4GateCorrectness:
         conjunction_ok = True
         misattributed = 0
         for ro, expected in batch:
-            rep = verify_rollout(ro, None, OraclePredictor(), idm, jc, client,
+            rep = verify_rollout(ro, OraclePredictor(), idm, jc, client,
                                  cfg.tracks)
             bits = {"semantic_validity": rep.semantic_valid_failure,
                     "semantic_visual": rep.semantic_visual_ok,

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -78,6 +79,18 @@ class TestPipeline:
         for rec in recs:
             label = parse(rec["label"])
             assert label.result == "FAIL"
+
+    def test_perturb_logs_resamples_only_at_debug(self, workdir, tmp_path, caplog):
+        """The resample count is in the manifest; a default run logs nothing
+        at INFO about it, and -v shows it."""
+        caplog.set_level(logging.DEBUG, logger="failsynth.perturb")
+        assert _run("perturb", "-i", workdir / "demos.jsonl", "-o",
+                    tmp_path / "c.jsonl", "--manifest", tmp_path / "p.json",
+                    "--seed", 11) == 0
+        records = [r for r in caplog.records if r.name == "failsynth.perturb"]
+        assert json.loads((tmp_path / "p.json").read_text())["translation_resamples"]
+        assert records
+        assert all(r.levelno == logging.DEBUG for r in records)
 
     def test_self_recovery_is_total(self, workdir):
         m = json.loads((workdir / "rec.json").read_text())
@@ -174,10 +187,40 @@ class TestExitCodes:
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 2
 
-    def test_workers_flag_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ("generate", "-n", 1, "-o", "d.jsonl", "--workers", 2),
+        ("perturb", "-i", "d.jsonl", "-o", "c.jsonl", "--types", "translation"),
+        ("report", "-i", "r.json", "--seed", 1),
+        ("report", "-i", "r.json", "--config", "c.json"),
+        ("report", "-i", "r.json", "--endpoint", "mock")],
+        ids=["generate--workers", "perturb--types", "report--seed",
+             "report--config", "report--endpoint"])
+    def test_removed_flag_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl", "--workers", 2)
+            _run(*argv)
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, edit", [
+        ("verify", lambda calib: [1]),
+        ("verify", lambda calib: {k: v for k, v in calib.items() if k != "idm"}),
+        ("verify", lambda calib: dict(calib, idm="x")),
+        ("report", lambda calib: {"rouge_l": 1})],
+        ids=["calibration-not-object", "calibration-without-idm",
+             "calibration-idm-string", "report-without-acc"])
+    def test_malformed_calibration_or_report_is_2(self, workdir, tmp_path, capsys,
+                                                  stage, edit):
+        path = tmp_path / "in.json"
+        calib = json.loads((workdir / "calib.json").read_text())
+        path.write_text(json.dumps(edit(calib)))
+        if stage == "verify":
+            argv = ("verify", "-i", workdir / "cands.jsonl", "--calibration", path,
+                    "-o", tmp_path / "r.jsonl")
+        else:
+            argv = ("report", "-i", path)
+        assert _run(*argv) == 2
+        assert "schema error" in capsys.readouterr().err
 
     def test_malformed_config_json_is_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -313,7 +356,9 @@ class TestQuarantine:
         assert m["retained"] + m["rejected"] + m["quarantined"] == m["generated"]
 
     @pytest.mark.parametrize("reply", [
-        "{}", "[]", '{"valid_failure": true}', '"ok"'])
+        "{}", "[]", '{"valid_failure": true}', '"ok"',
+        '{"valid_failure": "false", "visual_ok": "no"}',
+        '{"valid_failure": 1, "visual_ok": 1}'])
     def test_reply_without_judgments_quarantines(self, workdir, tmp_path, capsys,
                                                  reply):
         """A judge answering JSON that is not an object with valid_failure

@@ -111,13 +111,6 @@ class TestRollout:
         assert ro.states[0, 0] == 0.0
         assert ro.states.dtype == np.float64
 
-    def test_step_bound(self):
-        ro = Rollout(id="r", task="t", states=[_state(), _state()],
-                     actions=[[0.5, 0, 0, 0, 0, 0, 1.0]])
-        ro.check_step_bound(0.6)
-        with pytest.raises(ValidationError):
-            ro.check_step_bound(0.4)
-
 
 class TestJointTraceAndTracks:
     def test_joint_shape(self):

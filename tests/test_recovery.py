@@ -7,50 +7,14 @@ from failsynth.labels import FixLabel, generate_label
 from failsynth.perturb import (inject_delay_close, inject_force_open,
                                inject_translation, inject_weak_close)
 from failsynth.recovery import (GripperClose, Reclose, TranslateDelta,
-                                TriggerPolicy, apply_primitives, extract_clip,
-                                map_to_primitives, recovery_rate,
-                                replay_with_recovery, should_invoke)
+                                apply_primitives, map_to_primitives,
+                                replay_with_recovery)
 from failsynth.world import resimulate
 
 
 @pytest.fixture(scope="module")
 def keyframe(demo):
     return detect_keyframes(demo)[0] - 1
-
-
-def _truncate(rollout, n):
-    from dataclasses import replace
-    return replace(rollout, states=rollout.states[: n + 1],
-                   actions=rollout.actions[:n], joints=None, tracks=None)
-
-
-class TestTrigger:
-    def test_invokes_at_closing_keyframe(self, demo, keyframe):
-        policy = TriggerPolicy()
-        assert should_invoke(_truncate(demo, keyframe + 2), policy) == \
-            "invoke_at_keyframe"
-
-    def test_continues_before_keyframe(self, demo, keyframe):
-        assert should_invoke(_truncate(demo, keyframe - 2), TriggerPolicy()) == \
-            "continue"
-
-    def test_budget_fallback(self, demo, keyframe):
-        policy = TriggerPolicy(action_budget=10, clip_length=10)
-        assert should_invoke(_truncate(demo, keyframe - 2), policy) == \
-            "invoke_at_budget"
-
-    def test_clip_is_strided_suffix(self, demo):
-        policy = TriggerPolicy(clip_length=40, downsample_stride=2)
-        idx = extract_clip(demo, policy)
-        assert idx[0] == demo.horizon + 1 - 40
-        assert idx[-1] <= demo.horizon
-        assert all(b - a == 2 for a, b in zip(idx, idx[1:]))
-
-    def test_policy_validation(self):
-        with pytest.raises(ValidationError):
-            TriggerPolicy(action_budget=0)
-        with pytest.raises(ValidationError):
-            TriggerPolicy(action_budget=10, clip_length=20)
 
 
 class TestMapping:
@@ -152,19 +116,3 @@ class TestClosedLoop:
         prims = map_to_primitives(flipped, 0.01, keyframe=spec.keyframe)
         _, ok = replay_with_recovery(scene, actions, prims)
         assert not ok
-
-    def test_recovery_rate(self, demo, scene, keyframe):
-        cases = []
-        for seed in (1, 2, 3):
-            actions, spec = inject_translation(demo, keyframe, window=5,
-                                               sigma=0.02, seed=seed,
-                                               min_offset=0.01)
-            label = generate_label(spec, bin_size=0.01)
-            cases.append((scene, actions,
-                          map_to_primitives(label, 0.01, keyframe=spec.keyframe)))
-        rate, n = recovery_rate(cases)
-        assert (rate, n) == (1.0, 3)
-
-    def test_empty_case_set_rejected(self):
-        with pytest.raises(ValidationError):
-            recovery_rate([])

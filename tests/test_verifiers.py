@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failsynth.core import JointTrace, TrackSet
-from failsynth.errors import InsufficientTrackingError, ValidationError
+from failsynth.errors import InsufficientTrackingError, SchemaError, ValidationError
 from failsynth.semantic import MockSemanticVerifier
 from failsynth.tracks import (TrackScoreConfig, fit_affine, quantile_sorted,
                               score_tracks)
@@ -214,14 +214,36 @@ class TestCalibrationIO:
             load_calibrations(path)
 
 
+    @pytest.mark.parametrize("section, edit", [
+        ("idm", lambda d: d.pop("tau")),
+        ("idm", lambda d: d.update(tau="0.1")),
+        ("idm", lambda d: d.update(d=4.0)),
+        ("idm", lambda d: d.update(extra=1)),
+        ("joints", lambda d: d.update(q_min=["a"] * 7)),
+        ("joints", lambda d: d.update(tau_v=True))],
+        ids=["missing-key", "string-number", "float-for-int", "unknown-key",
+             "non-numeric-array", "bool-for-float"])
+    def test_malformed_field_is_schema_error(self, calibrations, tmp_path,
+                                             section, edit):
+        import json
+        idm, jc = calibrations
+        path = tmp_path / "calib.json"
+        save_calibrations(path, idm, jc)
+        payload = json.loads(path.read_text())
+        edit(payload[section])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError):
+            load_calibrations(path)
+
+
 class TestVerifyRollout:
     def test_clean_failure_retained(self, demos, calibrations, cfg):
         from failsynth.core import FailureType
         from failsynth.pipeline import perturb_one, _with_observations
         idm, jc = calibrations
         cand, _ = perturb_one(demos[0], cfg, 0, FailureType.translation)
-        cand = _with_observations(cand, cfg)
-        report = verify_rollout(cand, None, OraclePredictor(), idm, jc,
+        cand = _with_observations(cand)
+        report = verify_rollout(cand, OraclePredictor(), idm, jc,
                                 MockSemanticVerifier(), cfg.tracks)
         assert report.retained
         assert report.to_dict()["retained"] is True
@@ -229,7 +251,7 @@ class TestVerifyRollout:
     def test_unperturbed_success_rejected_semantically(self, demos, calibrations,
                                                        cfg):
         idm, jc = calibrations
-        report = verify_rollout(demos[0], None, OraclePredictor(), idm, jc,
+        report = verify_rollout(demos[0], OraclePredictor(), idm, jc,
                                 MockSemanticVerifier(), cfg.tracks)
         assert not report.semantic_valid_failure
         assert not report.retained
@@ -244,7 +266,7 @@ class TestVerifyRollout:
         broken = replace(ro, tracks=TrackSet(ro.tracks.points, masks),
                          meta={**ro.meta, "outcome_override": None},
                          outcome="fail")
-        report = verify_rollout(broken, None, OraclePredictor(), idm, jc,
+        report = verify_rollout(broken, OraclePredictor(), idm, jc,
                                 MockSemanticVerifier(), cfg.tracks)
         assert not report.track_confident
         assert not report.track_pass

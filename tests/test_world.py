@@ -63,10 +63,6 @@ class TestSceneSpec:
 
 
 class TestArtifactSpec:
-    def test_clean(self):
-        assert ArtifactSpec().is_clean()
-        assert not ArtifactSpec(jitter_px=1.0).is_clean()
-
     def test_validation(self):
         with pytest.raises(ValidationError):
             ArtifactSpec(jitter_px=-1.0)
