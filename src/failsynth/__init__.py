@@ -1,22 +1,38 @@
 """failsynth: counterfactual failure synthesis, verification, paired fix
-labeling, and closed-loop correction for tabletop manipulation rollouts."""
+labeling, and closed-loop correction for tabletop manipulation rollouts.
 
-from .core import (FailureType, JointTrace, Rollout, TrackSet, detect_keyframes,
-                   wrap_angle)
-from .config import PipelineConfig, load_config
-from .errors import (FailSynthError, SchemaError, TransportError,
-                     ValidationError)
-from .labels import FixLabel, generate_label, parse, serialize
-from .perturb import PerturbationSpec, apply_perturbation
-from .world import ArtifactSpec, CameraSpec, SceneSpec, resimulate, script_success
+The names below load their module on first access (PEP 562), so importing a
+light submodule such as ``failsynth.semantic`` does not import numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArtifactSpec", "CameraSpec", "FailSynthError",
-    "FailureType", "FixLabel", "JointTrace", "PerturbationSpec", "PipelineConfig",
-    "Rollout", "SceneSpec", "SchemaError", "TrackSet", "TransportError",
-    "ValidationError", "apply_perturbation", "detect_keyframes", "generate_label",
-    "load_config", "parse", "resimulate", "script_success", "serialize",
-    "wrap_angle", "__version__",
-]
+# exported name -> submodule that defines it
+_EXPORTS = {
+    "FailureType": "core", "JointTrace": "core", "Rollout": "core",
+    "TrackSet": "core", "detect_keyframes": "core", "wrap_angle": "core",
+    "PipelineConfig": "config", "load_config": "config",
+    "FailSynthError": "errors", "SchemaError": "errors",
+    "TransportError": "errors", "ValidationError": "errors",
+    "FixLabel": "labels", "generate_label": "labels", "parse": "labels",
+    "serialize": "labels",
+    "PerturbationSpec": "perturb", "apply_perturbation": "perturb",
+    "ArtifactSpec": "world", "CameraSpec": "world", "SceneSpec": "world",
+    "resimulate": "world", "script_success": "world",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -4,13 +4,18 @@ labeling, recovery, and evaluation, with per-stage manifests.
 Every stage is deterministic given (inputs, config, seed): per-rollout seeds
 are derived structurally, output record order follows input order, and all
 artifacts carry the config hash.
+
+Stages stream: each reads one record, does its work and hands that record's
+output to the writer before it reads the next, keeping only counters and the
+per-candidate values its manifest averages. Writers replace their file
+atomically, so a stage that fails leaves no output behind.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,8 +28,8 @@ from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
                       inject_weak_close)
 from .recovery import map_to_primitives, replay_with_recovery
-from .rollout_io import (read_records, read_rollouts, rollout_from_record,
-                         write_json, write_records, write_rollouts)
+from .rollout_io import (read_records, rollout_from_record, write_json,
+                         write_records, write_rollouts)
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
 from .verify import (calibrate_idm, calibrate_joints, joint_exceedance,
@@ -64,14 +69,17 @@ def sample_scene(cfg: PipelineConfig, index: int) -> SceneSpec:
                      seed=_derived_seed(cfg.seed, index))
 
 
+def _rollouts(path) -> Iterator[Rollout]:
+    """The rollouts of a JSONL file, parsed one at a time."""
+    for rec in read_records(path):
+        yield rollout_from_record(rec)
+
+
 def cmd_generate(cfg: PipelineConfig, n: int, out_path, manifest_path=None) -> dict:
     """Script n successful demonstrations."""
-    rollouts = []
-    for i in range(n):
-        scene = sample_scene(cfg, i)
-        rollouts.append(script_success(scene, horizon=cfg.horizon,
-                                       rollout_id=f"demo-{i:05d}"))
-    write_rollouts(out_path, rollouts)
+    write_rollouts(out_path, (script_success(sample_scene(cfg, i), horizon=cfg.horizon,
+                                             rollout_id=f"demo-{i:05d}")
+                              for i in range(n)))
     manifest = {"stage": "generate", "count": n, "horizon": cfg.horizon,
                 "seed": cfg.seed, "config_hash": cfg.config_hash()}
     if manifest_path:
@@ -126,19 +134,22 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
 
 def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> dict:
     """One candidate failure per (input rollout, failure type)."""
-    rollouts = read_rollouts(in_path)
-    candidates = []
-    resample_events = 0
+    inputs = resample_events = 0
     per_type = {ft.value: 0 for ft in FAILURE_TYPES}
-    for i, ro in enumerate(rollouts):
-        for ft in FAILURE_TYPES:
-            cand, resamples = perturb_one(ro, cfg, i, ft)
-            resample_events += resamples
-            per_type[ft.value] += 1
-            candidates.append(cand)
-    write_rollouts(out_path, candidates)
-    manifest = {"stage": "perturb", "inputs": len(rollouts),
-                "candidates": len(candidates), "per_type": per_type,
+
+    def candidates():
+        nonlocal inputs, resample_events
+        for i, ro in enumerate(_rollouts(in_path)):
+            inputs += 1
+            for ft in FAILURE_TYPES:
+                cand, resamples = perturb_one(ro, cfg, i, ft)
+                resample_events += resamples
+                per_type[ft.value] += 1
+                yield cand
+
+    count = write_rollouts(out_path, candidates())
+    manifest = {"stage": "perturb", "inputs": inputs,
+                "candidates": count, "per_type": per_type,
                 "translation_resamples": resample_events,
                 "config_hash": cfg.config_hash()}
     if manifest_path:
@@ -154,8 +165,17 @@ def _with_observations(rollout: Rollout) -> Rollout:
 
 
 def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
-    """p95 calibration of the IDM and joint verifiers on success demos."""
-    demos = [_with_observations(ro) for ro in read_rollouts(successes_path)]
+    """p95 calibration of the IDM and joint verifiers on success demos.
+
+    The thresholds are percentiles over every demo, so the demos are kept,
+    but without their tracks, which are scored as each demo is read.
+    """
+    stats = _Stats()
+    demos = []
+    for ro in _rollouts(successes_path):
+        demo = _with_observations(ro)
+        stats.add_scores(score_tracks(demo.tracks, cfg.tracks))
+        demos.append(replace(demo, tracks=None))
     if not demos:
         raise ValidationError("cannot calibrate on an empty demo file")
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
@@ -165,30 +185,39 @@ def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
                         radian_weight=vc.radian_weight)
     joints = calibrate_joints(demos, percentile=vc.joint_percentile,
                               margin=vc.joint_margin)
-    scores = [score_tracks(ro.tracks, cfg.tracks) for ro in demos]
-    omega = [joint_exceedance(ro.joints, joints) for ro in demos]
+    for demo in demos:
+        stats.add_exceedance(joint_exceedance(demo.joints, joints))
     # mae is the pooled demo error, one pair, so its "mean" is itself
-    gt_stats = _summary_stats(scores, [(idm.mae_xyz, idm.mae_rpy)], omega)
+    stats.add(mae_xyz=idm.mae_xyz, mae_rpy=idm.mae_rpy)
+    gt_stats = stats.means()
     gt_stats.update(demos=len(demos), config_hash=cfg.config_hash())
     save_calibrations(out_path, idm, joints, extra=gt_stats)
     return gt_stats
 
 
-def _summary_stats(scores: Sequence, mae: Sequence[tuple[float, float]],
-                   exceed: Sequence[tuple[bool, bool]]) -> dict:
-    """Means of the track sub-scores, (xyz, rpy) IDM errors and (velocity,
-    acceleration) joint exceedance flags; None where a list is empty."""
-    columns = {
-        "s_smooth": [s.s_smooth for s in scores],
-        "s_vis": [s.s_vis for s in scores],
-        "s_topo": [s.s_topo for s in scores],
-        "s_global": [s.s_global for s in scores],
-        "mae_xyz": [m[0] for m in mae],
-        "mae_rpy": [m[1] for m in mae],
-        "omega_exceed_p95": [e[0] for e in exceed],
-        "alpha_exceed_p95": [e[1] for e in exceed],
-    }
-    return {k: float(np.mean(v)) if v else None for k, v in columns.items()}
+class _Stats:
+    """Per-candidate values whose means a manifest reports: track sub-scores,
+    (xyz, rpy) IDM errors and (velocity, acceleration) joint exceedance flags."""
+
+    TRACK_KEYS = ("s_smooth", "s_vis", "s_topo", "s_global")
+
+    def __init__(self):
+        self.columns = {k: [] for k in (*self.TRACK_KEYS, "mae_xyz", "mae_rpy",
+                                        "omega_exceed_p95", "alpha_exceed_p95")}
+
+    def add(self, **values) -> None:
+        for k, v in values.items():
+            self.columns[k].append(v)
+
+    def add_scores(self, scores) -> None:
+        self.add(**{k: getattr(scores, k) for k in self.TRACK_KEYS})
+
+    def add_exceedance(self, exceed: tuple[bool, bool]) -> None:
+        self.add(omega_exceed_p95=exceed[0], alpha_exceed_p95=exceed[1])
+
+    def means(self) -> dict:
+        """Column means; None for a column nothing was added to."""
+        return {k: float(np.mean(v)) if v else None for k, v in self.columns.items()}
 
 
 def _check_accounting(manifest: dict) -> None:
@@ -202,20 +231,19 @@ def _check_accounting(manifest: dict) -> None:
 
 def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
                manifest_path=None) -> dict:
-    """Run the four-verifier gate over a candidate file."""
+    """Run the four-verifier gate over a candidate file, one candidate at a time."""
     idm_calib, joint_calib, gt_stats = load_calibrations(calib_path)
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
-    client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
-    try:
-        records = list(read_records(candidates_path))
-        candidates = [_with_observations(rollout_from_record(rec)) for rec in records]
+    counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
+              "joint": 0, "track": 0}
+    generated = quarantined = rejected = 0
+    stats = _Stats()
 
-        retained_records = []
-        counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
-                  "joint": 0, "track": 0}
-        quarantined = rejected = 0
-        gen_scores, gen_mae, gen_exceed = [], [], []
-        for rec, cand in zip(records, candidates):
+    def retained_records(client):
+        nonlocal generated, quarantined, rejected
+        for rec in read_records(candidates_path):
+            cand = _with_observations(rollout_from_record(rec))
+            generated += 1
             try:
                 report = verify_rollout(cand, predictor, idm_calib, joint_calib,
                                         client, cfg.tracks)
@@ -234,31 +262,32 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
             if not report.track_pass:
                 counts["track"] += 1
             if report.track_scores is not None:
-                gen_scores.append(report.track_scores)
-            gen_mae.append((report.idm_mae_xyz, report.idm_mae_rpy))
-            gen_exceed.append(joint_exceedance(cand.joints, joint_calib))
+                stats.add_scores(report.track_scores)
+            stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)
+            stats.add_exceedance(joint_exceedance(cand.joints, joint_calib))
             if report.retained:
                 out = dict(rec)
                 meta = dict(out.get("meta", {}))
                 meta["verifier"] = report.to_dict()
                 out["meta"] = meta
-                retained_records.append(out)
+                yield out
             else:
                 rejected += 1
+
+    client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
+    try:
+        retained = write_records(out_path, retained_records(client))
     finally:
         client.close()
-    write_records(out_path, retained_records)
-    generated = len(records)
-    gen_stats = _summary_stats(gen_scores, gen_mae, gen_exceed)
     manifest = {
         "stage": "verify",
         "generated": generated,
-        "retained": len(retained_records),
+        "retained": retained,
         "rejected": rejected,
         "quarantined": quarantined,
-        "retention_rate": (len(retained_records) / generated) if generated else None,
+        "retention_rate": (retained / generated) if generated else None,
         "rejections": counts,
-        "stats": {"generated": gen_stats, "ground_truth": gt_stats},
+        "stats": {"generated": stats.means(), "ground_truth": gt_stats},
         "config_hash": cfg.config_hash(),
     }
     _check_accounting(manifest)
@@ -270,21 +299,21 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
 def cmd_label(cfg: PipelineConfig, retained_path, out_path,
               manifest_path=None) -> dict:
     """Attach the deterministic serialized fix label to every record."""
-    out_records = []
-    for rec in read_records(retained_path):
-        spec = None if rec.get("spec") is None else PerturbationSpec.from_dict(rec["spec"])
-        attach = rec.get("meta", {}).get("scene", {}).get("attach_strength", 0.7)
-        label = generate_label(spec, bin_size=cfg.label.bin_size,
-                               attach_strength=attach,
-                               strength_margin=cfg.label.strength_margin)
-        text = serialize(label)
-        if parse(text) != label:
-            raise SchemaError(f"label round-trip failed for {rec['id']}")
-        rec = dict(rec)
-        rec["label"] = text
-        out_records.append(rec)
-    write_records(out_path, out_records)
-    manifest = {"stage": "label", "count": len(out_records),
+    def labeled():
+        for rec in read_records(retained_path):
+            spec = None if rec.get("spec") is None else PerturbationSpec.from_dict(rec["spec"])
+            attach = rec.get("meta", {}).get("scene", {}).get("attach_strength", 0.7)
+            label = generate_label(spec, bin_size=cfg.label.bin_size,
+                                   attach_strength=attach,
+                                   strength_margin=cfg.label.strength_margin)
+            text = serialize(label)
+            if parse(text) != label:
+                raise SchemaError(f"label round-trip failed for {rec['id']}")
+            rec = dict(rec)
+            rec["label"] = text
+            yield rec
+
+    manifest = {"stage": "label", "count": write_records(out_path, labeled()),
                 "config_hash": cfg.config_hash()}
     if manifest_path:
         write_json(manifest_path, manifest)
@@ -321,21 +350,27 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
     preds = None
     if predictions_path:
         preds = _load_predictions(predictions_path)
-    entries = []
-    for rec in read_records(labeled_path):
-        text = None
-        if preds is not None:
-            if rec["id"] not in preds:
-                raise SchemaError(f"prediction file missing id {rec['id']}")
-            text = preds[rec["id"]]
-        entries.append(recover_record(cfg, rec, label_text=text))
-    if not entries:
-        raise ValidationError("no cases to recover")
-    write_records(out_path, entries)
-    rate = sum(e["recovered"] for e in entries) / len(entries)
-    manifest = {"stage": "recover", "cases": len(entries),
-                "recovered": int(sum(e["recovered"] for e in entries)),
-                "recovery_rate": rate, "config_hash": cfg.config_hash()}
+    recovered = 0
+
+    def entries():
+        nonlocal recovered
+        cases = 0
+        for rec in read_records(labeled_path):
+            text = None
+            if preds is not None:
+                if rec["id"] not in preds:
+                    raise SchemaError(f"prediction file missing id {rec['id']}")
+                text = preds[rec["id"]]
+            entry = recover_record(cfg, rec, label_text=text)
+            cases += 1
+            recovered += entry["recovered"]
+            yield entry
+        if not cases:
+            raise ValidationError("no cases to recover")
+
+    cases = write_records(out_path, entries())
+    manifest = {"stage": "recover", "cases": cases, "recovered": recovered,
+                "recovery_rate": recovered / cases, "config_hash": cfg.config_hash()}
     if manifest_path:
         write_json(manifest_path, manifest)
     return manifest

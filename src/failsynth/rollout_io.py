@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator
+import os
+import secrets
+import stat
+from contextlib import contextmanager
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -96,9 +100,45 @@ def rollout_from_record(rec: dict) -> Rollout:
         raise SchemaError(f"malformed rollout record: {exc}") from exc
 
 
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Text handle whose content appears at ``path`` only if the block succeeds.
+
+    Writes a temp file next to the file ``path`` names (a symlink is
+    followed) and renames it over that file on success; on any exception the
+    temp file is removed and the file is left as it was. Reading ``path``
+    while writing it is therefore safe. The file gets the mode plain
+    ``open(path, "w")`` would give it: the old file's mode if one exists,
+    else 0666 less the umask. A device or pipe, such as ``/dev/null``, cannot
+    be replaced and is written in place.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never opens an existing file; the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_rollouts(path, rollouts: Iterable[Rollout]) -> int:
     n = 0
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for ro in rollouts:
             fh.write(dumps_record(rollout_to_record(ro)) + "\n")
             n += 1
@@ -123,7 +163,7 @@ def read_records(path) -> Iterator[dict]:
 
 def write_records(path, records: Iterable[dict]) -> int:
     n = 0
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(dumps_record(rec) + "\n")
             n += 1
@@ -131,7 +171,7 @@ def write_records(path, records: Iterable[dict]) -> int:
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

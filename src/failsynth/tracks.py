@@ -128,8 +128,11 @@ def _topology(points, masks, cfg: TrackScoreConfig) -> float:
     # neighbours, so the edge set depends on this exact call
     near = np.argsort(dmat, axis=1)[:, :cfg.knn_k]
     here = np.arange(n0)[:, None]
-    # undirected edges (min, max) as sorted unique keys min * n0 + max
-    keys = np.unique(np.minimum(here, near) * n0 + np.maximum(here, near))
+    # undirected edges (min, max) as sorted unique keys min * n0 + max, which
+    # are flat indices of an n0 x n0 adjacency
+    adj = np.zeros(n0 * n0, dtype=bool)
+    adj[np.minimum(here, near) * n0 + np.maximum(here, near)] = True
+    keys = np.flatnonzero(adj)
     ia = vis0[keys // n0]
     ib = vis0[keys % n0]
     dist = _norm2(x[ia] - x[ib], y[ia] - y[ib])

@@ -11,10 +11,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import build_from_json, check_type
-from .core import Rollout, JointTrace, state_diff, state_diffs
+from .core import NUM_JOINTS, Rollout, JointTrace, state_diff, state_diffs
 from .errors import (InsufficientTrackingError, SchemaError, TransportError,
                      ValidationError)
-from .rollout_io import read_json
+from .rollout_io import atomic_open, read_json
 from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_tracks
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
 
@@ -184,6 +184,10 @@ class JointCalibration:
     def __post_init__(self):
         q_min = np.asarray(self.q_min, dtype=float)
         q_max = np.asarray(self.q_max, dtype=float)
+        for name, limits in (("q_min", q_min), ("q_max", q_max)):
+            if limits.shape != (NUM_JOINTS,):
+                raise SchemaError(f"joint limits {name} must hold {NUM_JOINTS} "
+                                  f"numbers, got shape {limits.shape}")
         if np.any(q_min >= q_max):
             raise ValidationError("q_min must be < q_max per joint")
         if self.tau_v <= 0 or self.tau_a <= 0:
@@ -369,7 +373,7 @@ def save_calibrations(path, idm: IdmCalibration, joints: JointCalibration,
                       extra: Optional[dict] = None) -> None:
     payload = {"version": CALIBRATION_FORMAT_VERSION, "idm": idm.to_dict(),
                "joints": joints.to_dict(), "reference_stats": extra or {}}
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

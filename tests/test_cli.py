@@ -222,6 +222,19 @@ class TestExitCodes:
         assert _run(*argv) == 2
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, limits", [("q_min", [-1.0, -1.0, -1.0]),
+                                               ("q_max", [])])
+    def test_joint_limits_of_wrong_length_are_2(self, workdir, tmp_path, capsys,
+                                               field, limits):
+        calib = json.loads((workdir / "calib.json").read_text())
+        calib["joints"][field] = limits
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(calib))
+        assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration", path,
+                    "-o", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err and field in err
+
     def test_malformed_config_json_is_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text("{bad")

@@ -235,6 +235,20 @@ class TestCalibrationIO:
         with pytest.raises(SchemaError):
             load_calibrations(path)
 
+    @pytest.mark.parametrize("field, limits", [("q_min", [-1.0, -1.0, -1.0]),
+                                               ("q_max", [])])
+    def test_joint_limits_need_seven_entries(self, calibrations, tmp_path,
+                                             field, limits):
+        import json
+        idm, jc = calibrations
+        path = tmp_path / "calib.json"
+        save_calibrations(path, idm, jc)
+        payload = json.loads(path.read_text())
+        payload["joints"][field] = limits
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=field):
+            load_calibrations(path)
+
 
 class TestVerifyRollout:
     def test_clean_failure_retained(self, demos, calibrations, cfg):
