@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import math
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 NUM_JOINTS = 7
@@ -25,6 +30,140 @@ def wrap_angle(a):
     rpy channels see 2*pi spikes at the branch cut.
     """
     return -((-a + math.pi) % TWO_PI - math.pi)
+
+
+# ---------------------------------------------------------------------------
+# JSON codec for record dataclasses
+
+# Types of the JSON values each scalar annotation accepts; an int is a float,
+# a bool is no number.
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+# Types whose values are their own JSON form.
+_JSON_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+def decode(tp, v, name: str):
+    """The JSON value v checked and decoded as the annotation tp: a scalar,
+    Optional[...], an enum (by value), a dataclass, tuple[...] or np.ndarray
+    (JSON lists of numbers) or dict[str, ...]. A value that does not fit is a
+    SchemaError naming the field."""
+    if tp in _SCALARS:
+        if isinstance(v, _SCALARS[tp]) and (tp is bool or not isinstance(v, bool)):
+            return v
+    elif (origin := typing.get_origin(tp)) is typing.Union:  # Optional[X]
+        return None if v is None else decode(typing.get_args(tp)[0], v, name)
+    elif tp is np.ndarray or origin is tuple:
+        items = (float, ...) if tp is np.ndarray else typing.get_args(tp)
+        if isinstance(v, (list, tuple)) and (items[-1] is ... or len(v) == len(items)):
+            if items[0] is float and {int, float}.issuperset(map(type, v)):
+                return tuple(v)  # the common case, numbers, without a call per item
+            return tuple([decode(t, x, name) for t, x in
+                          zip(repeat(items[0]) if items[-1] is ... else items, v)])
+    elif tp is dict or origin is dict:
+        if isinstance(v, dict):
+            return v if tp is dict else {k: decode(typing.get_args(tp)[1], x, name)
+                                         for k, x in v.items()}
+    elif dataclasses.is_dataclass(tp):
+        return _decode_object(tp, v, name)
+    elif issubclass(tp, Enum):
+        try:
+            return tp(v)
+        except (ValueError, TypeError):
+            pass
+    type_name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+    raise SchemaError(f"{name} must be of type {type_name}, "
+                      f"got {json.dumps(v, default=repr):.200}")
+
+
+def _to_json(v):
+    """The JSON form of a field value: lists for tuples and arrays, an enum's
+    value, an object for a dataclass."""
+    if type(v) in _JSON_SCALARS:
+        return v
+    if isinstance(v, tuple):
+        return [_to_json(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, dict):
+        return {k: _to_json(x) for k, x in v.items()}
+    if dataclasses.is_dataclass(v):
+        return _encode_object(v)
+    return v
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """The field plan of the dataclass cls: (name, annotation, exact) per
+    field, where a JSON value whose type is in exact is the field value
+    itself, and the names of the fields without a default."""
+    def exact(tp):  # scalars, which are also their own JSON form
+        if typing.get_origin(tp) is typing.Union:  # Optional[X]
+            inner = exact(typing.get_args(tp)[0])
+            return inner and inner + (type(None),)
+        return _SCALARS.get(tp, ())
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return (tuple((f.name, hints[f.name], exact(hints[f.name])) for f in fields),
+            tuple(f.name for f in fields
+                  if f.default is f.default_factory is dataclasses.MISSING))
+
+
+def _encode_object(obj) -> dict:
+    return {n: getattr(obj, n) if exact else _to_json(getattr(obj, n))
+            for n, _, exact in _plan(type(obj))[0]}
+
+
+def _decode_object(cls, data, name: str):
+    fields, required = _plan(cls)
+    names = cls.__dataclass_fields__.keys()
+    if not decode(dict, data, name).keys() <= names:
+        raise SchemaError(f"unknown {name} keys: {sorted(data.keys() - names)}")
+    missing = [n for n in required if n not in data]
+    if missing:
+        raise SchemaError(f"{name} lacks keys: {missing}")
+    kwargs = {}
+    for n, tp, exact in fields:
+        if n in data:
+            v = data[n]
+            kwargs[n] = v if type(v) in exact else decode(tp, v, f"{name}.{n}")
+    return cls(**kwargs)
+
+
+class Record:
+    """Base of the records stages write and read as JSON objects.
+
+    A subclass is made a frozen dataclass where it is defined, and its field
+    plan is built there too: a plan built while records stream leaves its
+    long-lived objects among short-lived ones, which cost 1-2 MiB of peak RSS
+    on the gate-mixed benchmark. The codec follows the field annotations
+    (see decode). from_dict is the one rule for every JSON object a stage
+    reads: an unknown key or a mistyped value is a SchemaError, and a missing
+    key takes the field's default, or is a SchemaError when the field has
+    none. to_dict gives lists for tuples and arrays, and an enum's value.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(frozen=True)(cls)
+        _plan(cls)
+
+    def to_dict(self) -> dict:
+        return _encode_object(self)
+
+    @classmethod
+    def from_dict(cls, data):
+        return _decode_object(cls, data, cls.__name__)
+
+
+def read_keys(data, types: dict, name: str) -> tuple:
+    """The values of the keys of types in the JSON object data, each decoded
+    as its annotation; other keys are allowed, a missing one is a SchemaError."""
+    missing = [k for k in types if k not in decode(dict, data, name)]
+    if missing:
+        raise SchemaError(f"{name} lacks keys: {missing}")
+    return tuple(decode(tp, data[k], f"{name}.{k}") for k, tp in types.items())
 
 
 class FailureType(str, Enum):

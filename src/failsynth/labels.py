@@ -280,9 +280,6 @@ def parse(text: str) -> FixLabel:
         except ValueError:
             raise NumericFieldError(f"STRENGTH must be a number, got {raw!r}") from None
 
-    try:
-        return FixLabel(result=result, failure_type=ftype, stage=stage,
-                        fix_dir_x=dir_x, fix_n_x=n_x, fix_dir_y=dir_y, fix_n_y=n_y,
-                        close_at=close_at, strength=strength, summary=summary)
-    except LabelError:
-        raise
+    return FixLabel(result=result, failure_type=ftype, stage=stage,
+                    fix_dir_x=dir_x, fix_n_x=n_x, fix_dir_y=dir_y, fix_n_y=n_y,
+                    close_at=close_at, strength=strength, summary=summary)

@@ -10,9 +10,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check_type
-from .core import FailureType
-from .errors import SchemaError, ValidationError
+from .core import FailureType, read_keys
+from .errors import ValidationError
 from .labels import FixLabel, LabelError, parse
 from .rollout_io import read_json
 
@@ -221,21 +220,17 @@ def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], judge=None,
     }
 
 
-# The fields render_report reads and their JSON types; acc may also be null.
-_REPORT_FIELDS = {"rouge_l": "float", "cosine": "float", "bin_succ": "float",
-                  "fuzzy": "float", "acc": "float", "count": "int",
-                  "acc_count": "int", "embedder": "str"}
+# The fields render_report reads and their types.
+_REPORT_FIELDS = {"rouge_l": float, "cosine": float, "bin_succ": float,
+                  "fuzzy": float, "acc": Optional[float], "count": int,
+                  "acc_count": int, "embedder": str}
 
 
 def read_report(path) -> dict:
     """Read an evaluation report JSON; a missing or mistyped field render_report
     reads is a SchemaError."""
     report = read_json(path)
-    for key, type_name in _REPORT_FIELDS.items():
-        if key not in report:
-            raise SchemaError(f"report {path} lacks {key}")
-        if not (key == "acc" and report[key] is None):
-            check_type(f"report {key}", report[key], type_name)
+    read_keys(report, _REPORT_FIELDS, f"report {path}")
     return report
 
 

@@ -10,12 +10,11 @@ spec to the original rollout reproduces the perturbed actions bit-exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import GRIPPER, FailureType, Rollout, step_array
+from .core import GRIPPER, FailureType, Record, Rollout, step_array
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -23,8 +22,7 @@ log = logging.getLogger(__name__)
 GRIPPER_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(Record):
     """Exact injected parameters for one synthesized failure.
 
     keyframe is the action index at which the scripted closure begins (one
@@ -57,35 +55,6 @@ class PerturbationSpec:
         for name in required:
             if getattr(self, name) is None:
                 raise ValidationError(f"{ft.value} spec missing {name}")
-
-    def to_dict(self) -> dict:
-        return {
-            "failure_type": self.failure_type.value,
-            "keyframe": self.keyframe,
-            "window": self.window,
-            "delay_steps": self.delay_steps,
-            "strength_scale": self.strength_scale,
-            "invert": self.invert,
-            "offset_x": self.offset_x,
-            "offset_y": self.offset_y,
-            "sigma": self.sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbationSpec":
-        return cls(
-            failure_type=FailureType(d["failure_type"]),
-            keyframe=int(d["keyframe"]),
-            window=int(d.get("window", 5)),
-            delay_steps=d.get("delay_steps"),
-            strength_scale=d.get("strength_scale"),
-            invert=bool(d.get("invert", False)),
-            offset_x=d.get("offset_x"),
-            offset_y=d.get("offset_y"),
-            sigma=d.get("sigma"),
-            seed=d.get("seed"),
-        )
 
 
 def ramp_translation(actions: np.ndarray, at: int, window: int, dx: float,

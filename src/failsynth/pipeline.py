@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import PipelineConfig
-from .core import FailureType, Rollout, detect_keyframes
+from .core import FailureType, Rollout, decode, detect_keyframes, read_keys
 from .errors import SchemaError, TransportError, ValidationError
 from .labels import generate_label, parse, serialize, LabelError
 from .metrics import evaluate_dataset
@@ -94,7 +94,7 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
 
     Returns (candidate, translation_resamples).
     """
-    scene = SceneSpec.from_dict(rollout.meta["scene"])
+    scene = decode(SceneSpec, rollout.meta.get("scene"), "meta.scene")
     kfs = detect_keyframes(rollout)
     if not kfs:
         raise ValidationError(f"rollout {rollout.id} has no keyframe")
@@ -158,10 +158,11 @@ def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> d
 
 
 def _with_observations(rollout: Rollout) -> Rollout:
-    scene = SceneSpec.from_dict(rollout.meta["scene"])
-    artifacts = ArtifactSpec.from_dict(rollout.meta.get("artifacts", {}))
-    return synthesize_observations(rollout, scene, artifacts,
-                                   seed=rollout.meta.get("obs_seed", 0))
+    meta = rollout.meta
+    return synthesize_observations(
+        rollout, decode(SceneSpec, meta.get("scene"), "meta.scene"),
+        decode(ArtifactSpec, meta.get("artifacts", {}), "meta.artifacts"),
+        seed=decode(int, meta.get("obs_seed", 0), "meta.obs_seed"))
 
 
 def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
@@ -301,11 +302,15 @@ def cmd_label(cfg: PipelineConfig, retained_path, out_path,
     """Attach the deterministic serialized fix label to every record."""
     def labeled():
         for rec in read_records(retained_path):
-            spec = None if rec.get("spec") is None else PerturbationSpec.from_dict(rec["spec"])
-            attach = rec.get("meta", {}).get("scene", {}).get("attach_strength", 0.7)
+            decode(dict, rec, "record")
+            spec = decode(Optional[PerturbationSpec], rec.get("spec"), "spec")
+            meta = decode(dict, rec.get("meta", {}), "record meta")
+            attach = {}  # only a weak_close label depends on the scene
+            if spec is not None and spec.failure_type is FailureType.weak_close:
+                attach["attach_strength"] = decode(SceneSpec, meta.get("scene"),
+                                                   "meta.scene").attach_strength
             label = generate_label(spec, bin_size=cfg.label.bin_size,
-                                   attach_strength=attach,
-                                   strength_margin=cfg.label.strength_margin)
+                                   strength_margin=cfg.label.strength_margin, **attach)
             text = serialize(label)
             if parse(text) != label:
                 raise SchemaError(f"label round-trip failed for {rec['id']}")
@@ -324,10 +329,10 @@ def recover_record(cfg: PipelineConfig, rec: dict,
                    label_text: Optional[str] = None) -> dict:
     """Parse a label, map it to primitives, replay, and score one case."""
     cand = rollout_from_record(rec)
-    scene = SceneSpec.from_dict(cand.meta["scene"])
-    text = label_text if label_text is not None else rec.get("label")
+    scene = decode(SceneSpec, cand.meta.get("scene"), "meta.scene")
+    text = label_text
     if text is None:
-        raise SchemaError(f"record {rec['id']} carries no label")
+        text, = read_keys(rec, {"label": str}, f"record {rec['id']}")
     entry = {"id": rec["id"], "label": text}
     try:
         label = parse(text)
@@ -358,9 +363,10 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
         for rec in read_records(labeled_path):
             text = None
             if preds is not None:
-                if rec["id"] not in preds:
-                    raise SchemaError(f"prediction file missing id {rec['id']}")
-                text = preds[rec["id"]]
+                rec_id, = read_keys(rec, {"id": str}, "labeled record")
+                if rec_id not in preds:
+                    raise SchemaError(f"prediction file missing id {rec_id}")
+                text = preds[rec_id]
             entry = recover_record(cfg, rec, label_text=text)
             cases += 1
             recovered += entry["recovered"]
@@ -377,11 +383,12 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
 
 
 def _load_predictions(path) -> dict:
+    """{id: pred_text} of a prediction file; each line is an object with a
+    string id and pred_text."""
     preds = {}
     for rec in read_records(path):
-        if "id" not in rec or "pred_text" not in rec:
-            raise SchemaError("prediction records need {id, pred_text}")
-        preds[rec["id"]] = rec["pred_text"]
+        rec_id, text = read_keys(rec, {"id": str, "pred_text": str}, "prediction")
+        preds[rec_id] = text
     return preds
 
 
@@ -392,10 +399,11 @@ def cmd_evaluate(cfg: PipelineConfig, labeled_path, predictions_path,
     pairs = []
     missing = []
     for rec in read_records(labeled_path):
-        if rec["id"] not in preds:
-            missing.append(rec["id"])
+        rec_id, label = read_keys(rec, {"id": str, "label": str}, "labeled record")
+        if rec_id not in preds:
+            missing.append(rec_id)
             continue
-        pairs.append((rec["id"], rec["label"], preds[rec["id"]]))
+        pairs.append((rec_id, label, preds[rec_id]))
     if missing:
         raise SchemaError(f"prediction file missing ids: {missing}")
     report = evaluate_dataset(pairs, cap=cfg.cap, delta_k=cfg.delta_k)

@@ -15,11 +15,11 @@ import os
 import secrets
 import stat
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .core import JointTrace, Rollout, TrackSet, step_array
+from .core import JointTrace, Rollout, TrackSet, decode, step_array
 from .errors import SchemaError, ValidationError
 from .perturb import PerturbationSpec
 
@@ -78,8 +78,7 @@ def _step_rows(rows, kind: str) -> np.ndarray:
 
 
 def rollout_from_record(rec: dict) -> Rollout:
-    if not isinstance(rec, dict):
-        raise SchemaError(f"rollout record is not an object: {type(rec).__name__}")
+    decode(dict, rec, "rollout record")
     try:
         tracks = None
         if rec.get("tracks") is not None:
@@ -92,9 +91,9 @@ def rollout_from_record(rec: dict) -> Rollout:
             actions=_step_rows(rec["actions"], "action"),
             joints=None if rec.get("joints") is None else JointTrace(np.array(rec["joints"])),
             tracks=tracks,
-            spec=None if rec.get("spec") is None else PerturbationSpec.from_dict(rec["spec"]),
+            spec=decode(Optional[PerturbationSpec], rec.get("spec"), "spec"),
             outcome=rec.get("outcome"),
-            meta=rec.get("meta", {}),
+            meta=decode(dict, rec.get("meta", {}), "rollout meta"),
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed rollout record: {exc}") from exc
@@ -183,7 +182,4 @@ def read_json(path) -> dict:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path} must contain a JSON object, "
-                          f"got {type(payload).__name__}")
-    return payload
+    return decode(dict, payload, str(path))

@@ -9,11 +9,10 @@ global continuity (per-adjacent-pair affine fits). Each score is clipped to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TrackSet
+from .core import Record, TrackSet
 from .errors import InsufficientTrackingError, ValidationError
 
 
@@ -31,8 +30,7 @@ def quantile_sorted(values, q: float) -> float:
     return float(xs[lo] + (xs[hi] - xs[lo]) * frac)
 
 
-@dataclass(frozen=True)
-class TrackScoreConfig:
+class TrackScoreConfig(Record):
     """Thresholds and weights for track scoring; paper leaves these open."""
 
     tau_acc: float = 2.0        # px/step^2
@@ -41,7 +39,7 @@ class TrackScoreConfig:
     tau_jitter: float = 0.5
     knn_k: int = 4
     eps: float = 1e-6           # px, topology denominator guard
-    weights: tuple = (0.25, 0.25, 0.25, 0.25)
+    weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     spike_ratio: float = 5.0    # spike = accel above this multiple of the track median
     spike_floor: float = 10.0   # px/step^2, absolute floor under the spike threshold
     acc_quantile: float = 0.95
@@ -55,17 +53,12 @@ class TrackScoreConfig:
             raise ValidationError("track score weights must sum to 1")
 
 
-@dataclass(frozen=True)
-class PointTrackScores:
+class PointTrackScores(Record):
     s_smooth: float
     s_vis: float
     s_topo: float
     s_global: float
     s_pt: float
-
-    def to_dict(self) -> dict:
-        return {"s_smooth": self.s_smooth, "s_vis": self.s_vis,
-                "s_topo": self.s_topo, "s_global": self.s_global, "s_pt": self.s_pt}
 
 
 def _clip01(v: float) -> float:

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import build_from_json, check_type
-from .core import NUM_JOINTS, Rollout, JointTrace, state_diff, state_diffs
+from .core import (NUM_JOINTS, Record, Rollout, JointTrace, decode, read_keys,
+                   state_diff, state_diffs)
 from .errors import (InsufficientTrackingError, SchemaError, TransportError,
                      ValidationError)
 from .rollout_io import atomic_open, read_json
@@ -83,8 +83,7 @@ def predictor_from_spec(spec: str, seed: int = 0):
 # ---------------------------------------------------------------------------
 # IDM verifier
 
-@dataclass(frozen=True)
-class IdmCalibration:
+class IdmCalibration(Record):
     """Dynamics-consistency threshold calibrated on success demonstrations.
 
     tau_raw is the plain pooled percentile; tau adds the configured safety
@@ -103,12 +102,6 @@ class IdmCalibration:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValidationError("idm tau must be > 0")
-
-    def to_dict(self) -> dict:
-        return {"tau": self.tau, "tau_raw": self.tau_raw, "d": self.d,
-                "percentile": self.percentile, "mae_xyz": self.mae_xyz,
-                "mae_rpy": self.mae_rpy, "margin": self.margin,
-                "radian_weight": self.radian_weight}
 
 
 @dataclass(frozen=True)
@@ -168,8 +161,7 @@ def calibrate_idm(success_rollouts: Sequence[Rollout], predictor,
 # ---------------------------------------------------------------------------
 # joint pose verifier
 
-@dataclass(frozen=True)
-class JointCalibration:
+class JointCalibration(Record):
     """Joint limits plus p95-calibrated velocity/acceleration thresholds."""
 
     q_min: np.ndarray
@@ -194,12 +186,6 @@ class JointCalibration:
             raise ValidationError("tau_v and tau_a must be > 0")
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "q_max", q_max)
-
-    def to_dict(self) -> dict:
-        return {"q_min": self.q_min.tolist(), "q_max": self.q_max.tolist(),
-                "tau_v": self.tau_v, "tau_a": self.tau_a, "p95_v": self.p95_v,
-                "p95_a": self.p95_a, "percentile": self.percentile,
-                "margin": self.margin}
 
 
 def joint_derivatives(trace: JointTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +279,7 @@ def verify_semantic(rollout: Rollout, client) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 # report and gate
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(Record):
     rollout_id: str
     semantic_valid_failure: bool
     semantic_visual_ok: bool
@@ -303,28 +288,11 @@ class VerifierReport:
     idm_mae_xyz: float
     idm_mae_rpy: float
     joint_pass: bool
-    joint_violations: tuple
+    joint_violations: tuple[tuple[int, int, str], ...]
     track_scores: Optional[PointTrackScores]
     track_pass: bool
     track_confident: bool
     retained: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rollout_id": self.rollout_id,
-            "semantic_valid_failure": self.semantic_valid_failure,
-            "semantic_visual_ok": self.semantic_visual_ok,
-            "idm_error": self.idm_error,
-            "idm_pass": self.idm_pass,
-            "idm_mae_xyz": self.idm_mae_xyz,
-            "idm_mae_rpy": self.idm_mae_rpy,
-            "joint_pass": self.joint_pass,
-            "joint_violations": [list(v) for v in self.joint_violations],
-            "track_scores": self.track_scores.to_dict() if self.track_scores else None,
-            "track_pass": self.track_pass,
-            "track_confident": self.track_confident,
-            "retained": self.retained,
-        }
 
 
 def gate(semantic_valid_failure: bool, semantic_visual_ok: bool, idm_pass: bool,
@@ -383,10 +351,7 @@ def load_calibrations(path) -> tuple[IdmCalibration, JointCalibration, dict]:
     payload = read_json(path)
     if payload.get("version") != CALIBRATION_FORMAT_VERSION:
         raise ValidationError(f"unsupported calibration version {payload.get('version')}")
-    for section in ("idm", "joints"):
-        if section not in payload:
-            raise SchemaError(f"calibration {path} lacks the {section} section")
-    stats = payload.get("reference_stats", {})
-    check_type("calibration reference_stats", stats, "dict")
-    return (build_from_json(IdmCalibration, payload["idm"]),
-            build_from_json(JointCalibration, payload["joints"]), stats)
+    idm, joints = read_keys(payload, {"idm": IdmCalibration, "joints": JointCalibration},
+                            f"calibration {path}")
+    stats = decode(dict, payload.get("reference_stats", {}), "calibration reference_stats")
+    return idm, joints, stats

@@ -13,11 +13,11 @@ kinematic signals only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, fields, replace
 
 import numpy as np
 
-from .core import GRIPPER, JointTrace, Rollout, TrackSet, step_array, wrap_angle
+from .core import GRIPPER, JointTrace, Record, Rollout, TrackSet, step_array, wrap_angle
 from .errors import CameraError, SceneError, ValidationError
 
 WORKSPACE_LO = np.array([0.15, -0.35, 0.0])
@@ -59,15 +59,14 @@ _GRID_X = np.linspace(0.2, 0.6, GRID_W)
 _GRID_Y = np.linspace(-0.25, 0.25, GRID_H)
 
 
-@dataclass(frozen=True)
-class CameraSpec:
+class CameraSpec(Record):
     """Static overhead pinhole camera looking straight down at the desk."""
 
     fx: float = 600.0
     fy: float = 600.0
     cx: float = 320.0
     cy: float = 240.0
-    position: tuple = (0.45, 0.0, 0.95)
+    position: tuple[float, float, float] = (0.45, 0.0, 0.95)
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Project (N, 3) world points to (N, 2) pixels."""
@@ -83,22 +82,12 @@ class CameraSpec:
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy])
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "position": list(self.position)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraSpec":
-        return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                   position=tuple(d["position"]))
-
-
-@dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(Record):
     """Scene geometry, grasp parameters, camera, and the rollout seed."""
 
-    object_pos: tuple
-    goal_pos: tuple
+    object_pos: tuple[float, float, float]
+    goal_pos: tuple[float, float, float]
     grasp_tolerance: float = 0.01
     attach_strength: float = 0.7
     partial_floor: float = 0.2
@@ -132,34 +121,8 @@ class SceneSpec:
         yaw = rng.uniform(-0.2, 0.2)
         return np.array([x, y, z, roll, 0.0, yaw, 1.0])
 
-    def to_dict(self) -> dict:
-        return {
-            "object_pos": list(self.object_pos),
-            "goal_pos": list(self.goal_pos),
-            "grasp_tolerance": self.grasp_tolerance,
-            "attach_strength": self.attach_strength,
-            "partial_floor": self.partial_floor,
-            "slip_delay": self.slip_delay,
-            "camera": self.camera.to_dict(),
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        return cls(
-            object_pos=tuple(d["object_pos"]),
-            goal_pos=tuple(d["goal_pos"]),
-            grasp_tolerance=d["grasp_tolerance"],
-            attach_strength=d["attach_strength"],
-            partial_floor=d.get("partial_floor", 0.2),
-            slip_delay=d.get("slip_delay", 3),
-            camera=CameraSpec.from_dict(d["camera"]) if "camera" in d else CameraSpec(),
-            seed=int(d["seed"]),
-        )
-
-
-@dataclass(frozen=True)
-class ArtifactSpec:
+class ArtifactSpec(Record):
     """Controlled observation corruptions; all zero means a clean rollout."""
 
     jitter_px: float = 0.0
@@ -169,21 +132,11 @@ class ArtifactSpec:
     joint_spike: float = 0.0
 
     def __post_init__(self):
-        for name in ("jitter_px", "flicker_rate", "topo_warp", "affine_jitter",
-                     "joint_spike"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValidationError(f"{f.name} must be >= 0")
         if self.flicker_rate > 1.0:
             raise ValidationError("flicker_rate must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"jitter_px": self.jitter_px, "flicker_rate": self.flicker_rate,
-                "topo_warp": self.topo_warp, "affine_jitter": self.affine_jitter,
-                "joint_spike": self.joint_spike}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArtifactSpec":
-        return cls(**d)
 
 
 def _near(points: np.ndarray, spot: np.ndarray, tol: float) -> list[bool]:

@@ -246,7 +246,9 @@ class TestExitCodes:
         '{"horizon": "abc"}', '{"horizon": 60.5}', '{"horizon": true}',
         '{"scene": 3}', '{"verifier": {"predictor": 3}}',
         '{"tracks": {"weights": [0.5, "x", 0.25, 0.25]}}',
-        '{"scene": {"object_x": "wide"}}'])
+        '{"scene": {"object_x": "wide"}}', '{"scene": {"object_x": [1]}}',
+        '{"tracks": {"weights": [1]}}', '{"verifier": {"visual_floors": {"jitter_px": "1"}}}',
+        '{"verifier": {"visual_floors": []}}'])
     def test_mistyped_config_value_is_2(self, tmp_path, capsys, content):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(content)
@@ -345,6 +347,121 @@ class TestMalformedRecords:
         path.write_text("[1, 2, 3]\n")
         assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
                     "-o", tmp_path / "r.jsonl", "--seed", 11) == 2
+
+
+DELETE = object()
+
+
+def _edit(path, value):
+    """Set the nested key path of a record to value; value DELETE deletes it."""
+    def mutate(rec):
+        obj = rec
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is DELETE:
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = value
+    return mutate
+
+
+class TestMalformedNestedObjects:
+    """Every JSON object a stage reads is decoded by one rule: an unknown key
+    or a mistyped value exits 2, a missing key takes the default or exits 2."""
+
+    @pytest.mark.parametrize("mutate, code", [
+        pytest.param(_edit(("meta", "scene"), DELETE), 2, id="meta-without-scene"),
+        pytest.param(_edit(("meta",), "abc"), 2, id="meta-string"),
+        pytest.param(_edit(("meta", "artifacts", "glare"), 1.0), 2,
+                     id="artifacts-unknown-key"),
+        pytest.param(_edit(("meta", "artifacts"), "abc"), 2, id="artifacts-string"),
+        pytest.param(_edit(("meta", "scene", "grasp_tolerance"), "0.01"), 2,
+                     id="grasp_tolerance-string"),
+        pytest.param(_edit(("meta", "scene", "seed"), 7.0), 2, id="scene-seed-float"),
+        pytest.param(_edit(("meta", "scene", "glare"), 1), 2, id="scene-unknown-key"),
+        pytest.param(_edit(("meta", "scene", "camera", "zoom"), 2.0), 2,
+                     id="camera-unknown-key"),
+        pytest.param(_edit(("meta", "scene", "camera", "position"), [0.45, 0.0]), 2,
+                     id="camera-position-short"),
+        pytest.param(_edit(("meta", "obs_seed"), "7"), 2, id="obs_seed-string"),
+        pytest.param(_edit(("spec", "keyframe"), 3.0), 2, id="spec-keyframe-float"),
+        pytest.param(_edit(("spec", "invert"), 1), 2, id="spec-invert-int"),
+        pytest.param(_edit(("spec", "failure_type"), "teleport"), 2,
+                     id="spec-unknown-failure-type"),
+        pytest.param(_edit(("spec", "glare"), 1), 2, id="spec-unknown-key"),
+        pytest.param(_edit(("spec", "keyframe"), DELETE), 2, id="spec-without-keyframe"),
+        pytest.param(_edit(("meta", "scene", "slip_delay"), DELETE), 0,
+                     id="scene-key-missing"),
+        pytest.param(_edit(("meta", "scene", "camera", "fx"), DELETE), 0,
+                     id="camera-key-missing"),
+        pytest.param(_edit(("meta", "scene", "camera"), DELETE), 0,
+                     id="camera-missing"),
+    ])
+    def test_verify(self, workdir, tmp_path, capsys, mutate, code):
+        path = _mutated_candidates(workdir, tmp_path, mutate)
+        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                    "-o", tmp_path / "r.jsonl", "--seed", 11) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or "schema error" in err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "5", '"abc"', None],
+                             ids=["list", "number", "string", "meta-string"])
+    def test_label(self, workdir, tmp_path, capsys, line):
+        if line is None:
+            rec = next(read_records(workdir / "retained.jsonl"))
+            line = json.dumps(dict(rec, meta="abc"))
+        path = tmp_path / "retained.jsonl"
+        path.write_text(line + "\n")
+        assert _run("label", "-i", path, "-o", tmp_path / "l.jsonl") == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_label_reads_the_scene_only_for_weak_close(self, workdir, tmp_path):
+        """Only a weak_close label depends on the scene's attach_strength."""
+        recs = list(read_records(workdir / "retained.jsonl"))
+        for rec in recs:
+            del rec["meta"]["scene"]
+        kinds = {rec["spec"]["failure_type"] for rec in recs}
+        assert "weak_close" in kinds and len(kinds) > 1
+        path = tmp_path / "retained.jsonl"
+        for keep in (kinds - {"weak_close"}, {"weak_close"}):
+            path.write_text("".join(json.dumps(r) + "\n" for r in recs
+                                    if r["spec"]["failure_type"] in keep))
+            code = _run("label", "-i", path, "-o", tmp_path / "l.jsonl")
+            assert code == (2 if keep == {"weak_close"} else 0)
+
+    @pytest.mark.parametrize("edit_labeled, edit_pred", [
+        (lambda rec: rec.pop("label"), None),
+        (lambda rec: rec.update(label=5), None),
+        (lambda rec: rec.update(id=["x"]), None),
+        (None, lambda pred: 5),
+        (None, lambda pred: dict(pred, pred_text=5)),
+        (None, lambda pred: {"pred_text": pred["pred_text"]})],
+        ids=["labeled-without-label", "label-number", "id-list", "prediction-number",
+             "pred_text-number", "prediction-without-id"])
+    def test_evaluate(self, workdir, tmp_path, capsys, edit_labeled, edit_pred):
+        labeled = list(read_records(workdir / "labeled.jsonl"))
+        preds = [{"id": rec["id"], "pred_text": rec["label"]} for rec in labeled]
+        (edit_labeled or (lambda rec: None))(labeled[0])
+        if edit_pred:
+            preds[0] = edit_pred(preds[0])
+        for name, recs in (("labeled.jsonl", labeled), ("preds.jsonl", preds)):
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in recs))
+        assert _run("evaluate", "-i", tmp_path / "labeled.jsonl",
+                    "--predictions", tmp_path / "preds.jsonl") == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.pop("label"), lambda rec: rec.update(label=5),
+        lambda rec: rec["meta"].pop("scene")],
+        ids=["without-label", "label-number", "meta-without-scene"])
+    def test_recover(self, workdir, tmp_path, capsys, edit):
+        labeled = list(read_records(workdir / "labeled.jsonl"))
+        edit(labeled[0])
+        path = tmp_path / "labeled.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in labeled))
+        assert _run("recover", "-i", path, "-o", tmp_path / "r.jsonl") == 2
+        assert "schema error" in capsys.readouterr().err
 
 
 class TestQuarantine:

@@ -1,13 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from failsynth.core import (GRIPPER, JointTrace, Rollout, TrackSet, crossings,
-                            detect_keyframes, state_diff, step_array,
+from failsynth.core import (GRIPPER, FailureType, JointTrace, Rollout, TrackSet,
+                            crossings, detect_keyframes, state_diff, step_array,
                             wrap_angle)
-from failsynth.errors import ValidationError
+from failsynth.errors import SchemaError, ValidationError
+from failsynth.perturb import PerturbationSpec
+from failsynth.tracks import PointTrackScores
+from failsynth.verify import JointCalibration, VerifierReport
+from failsynth.world import CameraSpec, SceneSpec
 
 
 def _state(x=0.0, y=0.0, z=0.2, roll=0.0, pitch=0.0, yaw=0.0, gripper=1.0):
@@ -185,3 +190,45 @@ class TestKeyframesAndDiff:
     def test_state_diff_range_check(self, demo):
         with pytest.raises(ValidationError):
             state_diff(demo, demo.horizon, 1)
+
+
+
+class TestRecordCodec:
+    """The field-driven JSON codec every record dataclass shares."""
+
+    SCENE = SceneSpec(object_pos=(0.4, 0.1, 0.02), goal_pos=(0.5, -0.1, 0.02), seed=3)
+
+    def test_to_dict_gives_json_values(self):
+        d = self.SCENE.to_dict()
+        assert list(d) == ["object_pos", "goal_pos", "grasp_tolerance", "attach_strength",
+                           "partial_floor", "slip_delay", "camera", "seed"]
+        assert d["object_pos"] == [0.4, 0.1, 0.02]
+        assert d["camera"]["position"] == [0.45, 0.0, 0.95]
+        spec = PerturbationSpec(FailureType.weak_close, 7, strength_scale=0.5)
+        assert type(spec.to_dict()["failure_type"]) is str
+        scores = PointTrackScores(1.0, 0.9, 0.8, 0.7, 0.6)
+        report = VerifierReport("r", True, True, 0.1, True, 0.01, 0.02, False,
+                                ((3, 1, "limit"),), scores, True, True, False)
+        assert report.to_dict()["joint_violations"] == [[3, 1, "limit"]]
+        assert report.to_dict()["track_scores"] == scores.to_dict()
+        assert replace(report, track_scores=None).to_dict()["track_scores"] is None
+        limits = JointCalibration(q_min=-np.ones(7), q_max=np.ones(7), tau_v=1.0,
+                                  tau_a=1.0, p95_v=0.5, p95_a=0.5).to_dict()
+        assert limits["q_min"] == [-1.0] * 7 and type(limits["q_min"][0]) is float
+
+    @pytest.mark.parametrize("edit", [
+        {"glare": 1}, {"grasp_tolerance": "0.01"}, {"grasp_tolerance": True},
+        {"seed": 7.0}, {"object_pos": [0.4, 0.1]}, {"object_pos": [0.4, 0.1, "x"]},
+        {"camera": {"fx": 600.0, "zoom": 2}}, {"camera": None}],
+        ids=["unknown-key", "string-number", "bool-number", "float-for-int",
+             "short-tuple", "string-in-tuple", "nested-unknown-key", "null-object"])
+    def test_from_dict_refuses(self, edit):
+        with pytest.raises(SchemaError):
+            SceneSpec.from_dict(dict(self.SCENE.to_dict(), **edit))
+
+    def test_from_dict_defaults_and_required(self):
+        scene = SceneSpec.from_dict({"object_pos": [0.4, 0.1, 0], "goal_pos": [0.5, 0, 0]})
+        assert scene.camera == CameraSpec() and scene.seed == 0
+        assert scene.object_pos == (0.4, 0.1, 0.0)
+        with pytest.raises(SchemaError, match="object_pos"):
+            SceneSpec.from_dict({"goal_pos": [0.5, 0, 0]})

@@ -25,8 +25,8 @@ from failsynth.errors import SchemaError, ValidationError
 from failsynth.labels import generate_label
 from failsynth.perturb import (GRIPPER_THRESHOLD, PerturbationSpec,
                                apply_perturbation)
-from failsynth.pipeline import (FAILURE_TYPES, cmd_calibrate, perturb_one,
-                                sample_scene)
+from failsynth.pipeline import (FAILURE_TYPES, cmd_calibrate, cmd_label,
+                                perturb_one, sample_scene)
 from failsynth.recovery import (GripperClose, Reclose, TranslateDelta,
                                 apply_primitives, map_to_primitives)
 from failsynth.rollout_io import (dumps_record, rollout_from_record,
@@ -489,6 +489,20 @@ def cli_inputs(tmp_path_factory):
     return d, recs
 
 
+@pytest.fixture(scope="module")
+def labeled_inputs(tmp_path_factory):
+    """A labeled record of each failure type and a calibration file."""
+    d = tmp_path_factory.mktemp("mutated_nested")
+    cfg = PipelineConfig(seed=5)
+    demo = script_success(sample_scene(cfg, 0), horizon=cfg.horizon, rollout_id="demo-0")
+    write_rollouts(d / "demos.jsonl", [demo])
+    cmd_calibrate(cfg, d / "demos.jsonl", d / "calib.json")
+    write_rollouts(d / "cands.jsonl", [perturb_one(demo, cfg, 0, ft)[0]
+                                       for ft in FAILURE_TYPES])
+    cmd_label(cfg, d / "cands.jsonl", d / "labeled.jsonl")
+    return d, [json.loads(line) for line in (d / "labeled.jsonl").read_text().splitlines()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_candidates_exit_like_per_step_parser(cli_inputs, data):
@@ -520,3 +534,55 @@ def test_mutated_candidates_exit_like_per_step_parser(cli_inputs, data):
         assert code in (0, 4)
     else:
         assert code == expected
+
+
+# The nested objects of a labeled record that some stage decodes.
+_NESTED = (("spec",), ("meta",), ("meta", "scene"), ("meta", "scene", "camera"),
+           ("meta", "artifacts"))
+
+
+@st.composite
+def _nested_mutation(draw, rec):
+    """One edit of a nested object of rec, applied in place: delete a key,
+    add an unknown key, set a key's value or replace the whole object."""
+    def value():
+        return copy.deepcopy(draw(_FIELD_VALUES))
+    path = draw(st.sampled_from(_NESTED))
+    parent = rec
+    for key in path[:-1]:
+        parent = parent.get(key) if isinstance(parent, dict) else None
+    if not isinstance(parent, dict) or not isinstance(parent.get(path[-1]), dict):
+        return  # an earlier edit replaced an object on the path
+    obj = parent[path[-1]]
+    kind = draw(st.sampled_from(["delete", "unknown", "value", "replace"]))
+    if kind == "replace":
+        parent[path[-1]] = value()
+    elif kind == "unknown":
+        obj[draw(st.sampled_from(["wormhole", "x", ""]))] = value()
+    elif obj:
+        key = draw(st.sampled_from(sorted(obj)))
+        if kind == "delete":
+            del obj[key]
+        else:
+            obj[key] = value()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_nested_objects_never_give_a_traceback(labeled_inputs, data):
+    """verify, label and recover on a record whose spec, meta, scene, camera
+    or artifacts were edited exit 0, 2 or 4, without a traceback."""
+    d, recs = labeled_inputs
+    recs = copy.deepcopy(recs)
+    which = data.draw(st.integers(0, len(recs) - 1))
+    for _ in range(data.draw(st.integers(1, 3))):
+        data.draw(_nested_mutation(recs[which]))
+    path = d / "in.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    stage = data.draw(st.sampled_from(["verify", "label", "recover"]))
+    argv = [stage, "-i", str(path), "-o", str(d / "out.jsonl"), "--seed", "5"]
+    if stage == "verify":
+        argv += ["--calibration", str(d / "calib.json")]
+    code = main(argv)
+    event(f"{stage} exit {code}")
+    assert code in (0, 2, 4)
