@@ -218,6 +218,24 @@ class JointTrace:
     def __len__(self) -> int:
         return self.q.shape[0]
 
+    @functools.cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (qdot, qddot): central finite differences, one-sided at
+        the boundaries. Computed once per trace."""
+        q = self.q
+        if q.shape[0] < 3:
+            raise ValidationError("need at least 3 frames for joint derivatives")
+        qd = np.empty_like(q)
+        qd[1:-1] = (q[2:] - q[:-2]) / 2.0
+        qd[0] = q[1] - q[0]
+        qd[-1] = q[-1] - q[-2]
+        qdd = np.empty_like(q)
+        qdd[1:-1] = q[2:] - 2.0 * q[1:-1] + q[:-2]
+        qdd[0] = qdd[1]
+        qdd[-1] = qdd[-2]
+        qd.flags.writeable = qdd.flags.writeable = False
+        return qd, qdd
+
 
 @dataclass(frozen=True)
 class TrackSet:

@@ -25,16 +25,21 @@ def tokenize(text: str) -> list[str]:
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Standard O(len(a)*len(b)) longest-common-subsequence DP."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest-common-subsequence length, bit-parallel over b (Allison & Dix
+    1986; Hyyro 2004): one big-int add, subtract, and two masks per item of a.
+
+    Bit j of v is 1 while b[j] is not yet matched; each matched b[j] clears
+    one bit, so the length is the number of cleared bits.
+    """
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b):
-            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(hyp: str, ref: str) -> float:
@@ -204,18 +209,19 @@ def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], judge=None,
     """
     if not pairs:
         raise ValidationError("cannot evaluate an empty pair set")
-    records = [evaluate_record(i, g, p, judge=judge, cap=cap, delta_k=delta_k)
+    # report dicts only: the parsed labels of each EvalRecord are not kept
+    records = [evaluate_record(i, g, p, judge=judge, cap=cap, delta_k=delta_k).to_dict()
                for i, g, p in pairs]
-    accs = [r.acc for r in records if r.acc is not None]
+    accs = [r["acc"] for r in records if r["acc"] is not None]
     return {
         "count": len(records),
-        "rouge_l": float(np.mean([r.rouge_l for r in records])),
-        "cosine": float(np.mean([r.cosine for r in records])),
-        "bin_succ": float(np.mean([r.bin_correct for r in records])),
-        "fuzzy": float(np.mean([r.fuzzy for r in records])),
+        "rouge_l": float(np.mean([r["rouge_l"] for r in records])),
+        "cosine": float(np.mean([r["cosine"] for r in records])),
+        "bin_succ": float(np.mean([r["bin_correct"] for r in records])),
+        "fuzzy": float(np.mean([r["fuzzy"] for r in records])),
         "acc": float(np.mean(accs)) if accs else None,
         "acc_count": len(accs),
-        "records": [r.to_dict() for r in records],
+        "records": records,
         "embedder": "token-frequency stand-in",
     }
 

@@ -28,8 +28,9 @@ from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
                       inject_weak_close)
 from .recovery import map_to_primitives, replay_with_recovery
-from .rollout_io import (read_records, rollout_from_record, write_json,
-                         write_records, write_rollouts)
+from .rollout_io import (read_records, rollout_from_record, with_member,
+                         with_meta_member, write_json, write_records,
+                         write_rollouts)
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
 from .verify import (calibrate_idm, calibrate_joints, joint_exceedance,
@@ -267,11 +268,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
             stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)
             stats.add_exceedance(joint_exceedance(cand.joints, joint_calib))
             if report.retained:
-                out = dict(rec)
-                meta = dict(out.get("meta", {}))
-                meta["verifier"] = report.to_dict()
-                out["meta"] = meta
-                yield out
+                yield with_meta_member(rec, "verifier", report.to_dict())
             else:
                 rejected += 1
 
@@ -314,9 +311,7 @@ def cmd_label(cfg: PipelineConfig, retained_path, out_path,
             text = serialize(label)
             if parse(text) != label:
                 raise SchemaError(f"label round-trip failed for {rec['id']}")
-            rec = dict(rec)
-            rec["label"] = text
-            yield rec
+            yield with_member(rec, "label", text)
 
     manifest = {"stage": "label", "count": write_records(out_path, labeled()),
                 "config_hash": cfg.config_hash()}

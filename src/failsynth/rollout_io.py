@@ -4,7 +4,8 @@ One rollout per line with fields in the fixed order id, task, states,
 actions, joints, tracks, spec, outcome (plus an optional trailing meta
 object for provenance). Angles are radians, lengths meters. Serialization
 is byte-stable: compact separators, insertion-ordered keys, repr-shortest
-floats.
+floats. verify and label append their member to the text of the line they
+read rather than re-encode the record (with_member, with_meta_member).
 """
 
 from __future__ import annotations
@@ -26,6 +27,58 @@ from .perturb import PerturbationSpec
 
 def dumps_record(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+class SourceRecord(dict):
+    """A record read by read_records, with ``line``, the JSON text it was
+    parsed from, stripped of surrounding whitespace."""
+
+    __slots__ = ("line",)
+
+
+def _splice_line(rec: dict) -> Optional[str]:
+    """The source line of ``rec`` if a member may be appended to its text.
+
+    A line holding ``NaN`` or ``Infinity`` (even inside a string) is not
+    spliced: re-encoding it fails as it always did.
+    """
+    line = getattr(rec, "line", None)
+    if line is None or "NaN" in line or "Infinity" in line:
+        return None
+    return line
+
+
+def with_member(rec: dict, key: str, value):
+    """``rec`` with ``key: value`` appended, for write_records.
+
+    A record from read_records without ``key`` becomes its source line with
+    the member appended to the text, which is what dumps_record writes for a
+    line dumps_record wrote; the line's other members keep their own
+    spacing and number spelling. Any other record becomes a new dict.
+    """
+    line = _splice_line(rec)
+    if line is None or key in rec:
+        return {**rec, key: value}
+    return f'{line[:-1]}{"," if rec else ""}{json.dumps(key)}:{dumps_record(value)}}}'
+
+
+def with_meta_member(rec: dict, key: str, value):
+    """``rec`` with ``key: value`` appended to its ``meta`` object, for
+    write_records.
+
+    The member is spliced into the source line only when the line's last
+    member is ``meta``, a non-empty object without ``key`` written as
+    dumps_record writes it; then the result is what dumps_record writes for
+    the changed record. Any other record becomes a new dict.
+    """
+    line = _splice_line(rec)
+    meta = rec.get("meta")
+    if line is not None and type(meta) is dict and meta and key not in meta:
+        tail = f'"meta":{dumps_record(meta)}}}'
+        # after "," or "{" the tail's first quote opens the last top-level key
+        if line.endswith(tail) and line[-len(tail) - 1] in ",{":
+            return f'{line[:-2]},{json.dumps(key)}:{dumps_record(value)}}}}}'
+    return {**rec, "meta": {**rec.get("meta", {}), key: value}}
 
 
 def rollout_to_record(rollout: Rollout) -> dict:
@@ -149,22 +202,29 @@ def read_rollouts(path) -> list[Rollout]:
 
 
 def read_records(path) -> Iterator[dict]:
+    """The JSON value of each non-blank line; an object is a SourceRecord."""
     with open(path) as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
+            if type(rec) is dict:
+                rec = SourceRecord(rec)
+                rec.line = line
+            yield rec
 
 
-def write_records(path, records: Iterable[dict]) -> int:
+def write_records(path, records: Iterable) -> int:
+    """Write one line per record: a str as it is, anything else through
+    dumps_record."""
     n = 0
     with atomic_open(path) as fh:
         for rec in records:
-            fh.write(dumps_record(rec) + "\n")
+            fh.write((rec if type(rec) is str else dumps_record(rec)) + "\n")
             n += 1
     return n
 

@@ -188,28 +188,11 @@ class JointCalibration(Record):
         object.__setattr__(self, "q_max", q_max)
 
 
-def joint_derivatives(trace: JointTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite differences, one-sided at the boundaries."""
-    q = trace.q
-    n = q.shape[0]
-    if n < 3:
-        raise ValidationError("need at least 3 frames for joint derivatives")
-    qd = np.empty_like(q)
-    qd[1:-1] = (q[2:] - q[:-2]) / 2.0
-    qd[0] = q[1] - q[0]
-    qd[-1] = q[-1] - q[-2]
-    qdd = np.empty_like(q)
-    qdd[1:-1] = q[2:] - 2.0 * q[1:-1] + q[:-2]
-    qdd[0] = qdd[1]
-    qdd[-1] = qdd[-2]
-    return qd, qdd
-
-
 def verify_joints(trace: JointTrace,
                   calib: JointCalibration) -> tuple[list[tuple[int, int, str]], bool]:
     """List every (t, j, kind) violation of limits or motion thresholds."""
     q = trace.q
-    qd, qdd = joint_derivatives(trace)
+    qd, qdd = trace.derivatives
     violations = []
     for t, j in zip(*np.nonzero((q < calib.q_min) | (q > calib.q_max))):
         violations.append((int(t), int(j), "limit"))
@@ -222,7 +205,7 @@ def verify_joints(trace: JointTrace,
 
 def joint_exceedance(trace: JointTrace, calib: JointCalibration) -> tuple[bool, bool]:
     """Whether any sample exceeds the raw (un-margined) p95 thresholds."""
-    qd, qdd = joint_derivatives(trace)
+    qd, qdd = trace.derivatives
     return bool(np.any(np.abs(qd) > calib.p95_v)), bool(np.any(np.abs(qdd) > calib.p95_a))
 
 
@@ -236,7 +219,7 @@ def calibrate_joints(success_rollouts: Sequence[Rollout], percentile: float = 0.
     for ro in success_rollouts:
         if ro.joints is None:
             raise ValidationError(f"rollout {ro.id} has no joint trace")
-        qd, qdd = joint_derivatives(ro.joints)
+        qd, qdd = ro.joints.derivatives
         vels.append(np.abs(qd).ravel())
         accs.append(np.abs(qdd).ravel())
     p95_v = quantile_sorted(np.concatenate(vels), percentile)

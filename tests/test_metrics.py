@@ -28,6 +28,17 @@ def _brute_lcs(a, b):
     return best
 
 
+def _dp_lcs(a, b):
+    """Quadratic longest-common-subsequence DP oracle."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
 class TestTokenize:
     def test_lowercases_and_strips_punctuation(self):
         assert tokenize("Fix it, NOW!") == ["fix", "it", "now"]
@@ -47,6 +58,21 @@ class TestLcs:
     @given(st.text(alphabet="abc", max_size=7), st.text(alphabet="abc", max_size=7))
     def test_matches_brute_force(self, a, b):
         assert lcs_length(a, b) == _brute_lcs(a, b)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        *[st.lists(st.sampled_from(["fix", "x", "+y", "n=2", "close", "at"][:k]),
+                   max_size=40)] * 2)))
+    def test_matches_dp_on_token_lists(self, ab):
+        a, b = ab
+        assert lcs_length(a, b) == _dp_lcs(a, b)
+
+    def test_matches_dp_past_one_machine_word(self):
+        rng = np.random.default_rng(0)
+        for n, m in ((70, 130), (200, 65), (64, 64)):
+            a = list(rng.choice(["a", "b", "c"], n))
+            b = list(rng.choice(["a", "b", "c", "d"], m))
+            assert lcs_length(a, b) == _dp_lcs(a, b)
 
 
 class TestRougeL:

@@ -11,8 +11,7 @@ from failsynth.tracks import (TrackScoreConfig, fit_affine, quantile_sorted,
                               score_tracks)
 from failsynth.verify import (IdmCalibration, NoisyPredictor, OraclePredictor,
                               calibrate_idm, calibrate_joints, gate,
-                              joint_derivatives, load_calibrations,
-                              predictor_from_spec, save_calibrations,
+                              load_calibrations, predictor_from_spec, save_calibrations,
                               verify_idm, verify_joints, verify_rollout)
 from failsynth.world import ArtifactSpec, synthesize_observations
 
@@ -150,11 +149,21 @@ class TestJoints:
     def test_derivative_hand_values(self):
         q = np.zeros((3, 7))
         q[:, 0] = [0.0, 1.0, 4.0]
-        qd, qdd = joint_derivatives(JointTrace(q))
+        qd, qdd = JointTrace(q).derivatives
         assert qd[1, 0] == pytest.approx(2.0)   # (4 - 0) / 2
         assert qd[0, 0] == pytest.approx(1.0)   # one-sided
         assert qd[2, 0] == pytest.approx(3.0)
         assert qdd[1, 0] == pytest.approx(2.0)  # 4 - 2*1 + 0
+
+    def test_derivatives_are_computed_once_and_read_only(self):
+        trace = JointTrace(np.zeros((4, 7)))
+        qd, qdd = trace.derivatives
+        assert trace.derivatives[0] is qd and trace.derivatives[1] is qdd
+        assert not qd.flags.writeable and not qdd.flags.writeable
+
+    def test_too_short_trace_has_no_derivatives(self):
+        with pytest.raises(ValidationError, match="3 frames"):
+            JointTrace(np.zeros((2, 7))).derivatives
 
     def test_limit_violation(self, calibrations):
         _, jc = calibrations
