@@ -1,16 +1,18 @@
 """Offline evaluation metrics over (prediction, ground-truth) label pairs:
-ROUGE-L, cosine similarity, binary success accuracy, judged fuzzy match,
-and correction accuracy with partial credit."""
+ROUGE-L, cosine similarity, binary success accuracy, fuzzy match, and
+correction accuracy with partial credit. Each pair's two labels are parsed
+once and every score is computed from them."""
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FailureType, read_keys
+from .core import read_keys
 from .errors import ValidationError
 from .labels import FixLabel, LabelError, parse
 from .rollout_io import read_json
@@ -55,29 +57,19 @@ def rouge_l(hyp: str, ref: str) -> float:
     return 2.0 * p * rec / (p + rec)
 
 
-def token_frequency_embedder(texts: Sequence[str]) -> np.ndarray:
-    """Deterministic bag-of-tokens embedding over the pair's joint vocabulary."""
-    vocabs = [tokenize(t) for t in texts]
-    vocab = sorted({tok for toks in vocabs for tok in toks})
-    index = {tok: i for i, tok in enumerate(vocab)}
-    out = np.zeros((len(texts), max(len(vocab), 1)))
-    for row, toks in zip(out, vocabs):
-        for tok in toks:
-            row[index[tok]] += 1.0
-    return out
+def cosine_sim(hyp: str, ref: str) -> float:
+    """Cosine of the two texts' token-count vectors, clipped to [0, 1].
 
-
-def cosine_sim(hyp: str, ref: str, embedder=token_frequency_embedder) -> float:
-    """Cosine of sentence embeddings, clipped to [0, 1].
-
-    The default embedder is a deterministic token-frequency stand-in; real
-    sentence-embedding services plug in via the same signature.
+    The counts are small integers, so the dot product and the squared norms
+    are exact.
     """
-    vecs = embedder([hyp, ref])
-    na, nb = np.linalg.norm(vecs[0]), np.linalg.norm(vecs[1])
+    a, b = Counter(tokenize(hyp)), Counter(tokenize(ref))
+    na = math.sqrt(sum(n * n for n in a.values()))
+    nb = math.sqrt(sum(n * n for n in b.values()))
     if na == 0 or nb == 0:
         return 0.0
-    return float(min(1.0, max(0.0, float(vecs[0] @ vecs[1]) / (na * nb))))
+    dot = sum(n * b[tok] for tok, n in a.items())
+    return min(1.0, max(0.0, dot / (na * nb)))
 
 
 def extract_result(text: str) -> Optional[str]:
@@ -93,40 +85,16 @@ def binary_success(gt: FixLabel, pred: Optional[FixLabel], pred_text: str) -> bo
     return extract_result(pred_text) == gt.result
 
 
-class MockFuzzyJudge:
-    """Deterministic stand-in for the LLM judge.
-
-    correct iff the structured fields match exactly; partially_correct iff
-    failure type and stage match; incorrect otherwise.
-    """
-
-    def judge(self, request: dict) -> dict:
-        try:
-            gt = parse(request["reference"])
-            pred = parse(request["candidate"])
-        except LabelError:
-            return {"rating": "incorrect"}
-        if gt.structured_equal(pred):
-            rating = "correct"
-        elif (gt.failure_type is not None and gt.failure_type == pred.failure_type
-              and gt.stage == pred.stage):
-            rating = "partially_correct"
-        else:
-            rating = "incorrect"
-        return {"rating": rating}
-
-
-FUZZY_SCORES = {"correct": 1.0, "partially_correct": 0.5, "incorrect": 0.0}
-
-
-def fuzzy_match(gt_text: str, pred_text: str, judge=None) -> float:
-    """Judge rating mapped onto {1.0, 0.5, 0.0}."""
-    judge = judge or MockFuzzyJudge()
-    resp = judge.judge({"reference": gt_text, "candidate": pred_text})
-    rating = resp.get("rating")
-    if rating not in FUZZY_SCORES:
-        raise ValidationError(f"judge returned unknown rating {rating!r}")
-    return FUZZY_SCORES[rating]
+def fuzzy_match(gt: FixLabel, pred: Optional[FixLabel]) -> float:
+    """1.0 when the structured fields match exactly, 0.5 when the failure
+    type and the stage match, 0.0 otherwise and for an unparseable
+    prediction (None)."""
+    if pred is None:
+        return 0.0
+    if gt.structured_equal(pred):
+        return 1.0
+    # a label without a type is a SUCCESS label, so two of them returned 1.0 above
+    return 0.5 if (gt.failure_type, gt.stage) == (pred.failure_type, pred.stage) else 0.0
 
 
 def correction_acc(gt: FixLabel, pred: FixLabel, cap: int = 3,
@@ -158,30 +126,9 @@ def correction_acc(gt: FixLabel, pred: FixLabel, cap: int = 3,
     return (s_type + s_stage + s_k) / 3.0
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Per-pair metric values; pred is None when the prediction is unparseable."""
-
-    id: str
-    gt: FixLabel
-    pred_text: str
-    pred: Optional[FixLabel]
-    parse_error: Optional[str]
-    rouge_l: float
-    cosine: float
-    fuzzy: float
-    bin_correct: bool
-    acc: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "pred_text": self.pred_text,
-                "parse_error": self.parse_error, "rouge_l": self.rouge_l,
-                "cosine": self.cosine, "fuzzy": self.fuzzy,
-                "bin_correct": self.bin_correct, "acc": self.acc}
-
-
-def evaluate_record(rec_id: str, gt_text: str, pred_text: str, judge=None,
-                    cap: int = 3, delta_k: int = 2) -> EvalRecord:
+def evaluate_record(rec_id: str, gt_text: str, pred_text: str,
+                    cap: int = 3, delta_k: int = 2) -> dict:
+    """The report entry of one pair; each label is parsed once."""
     gt = parse(gt_text)
     pred, err = None, None
     try:
@@ -192,16 +139,14 @@ def evaluate_record(rec_id: str, gt_text: str, pred_text: str, judge=None,
     if gt.result == "FAIL":
         # parse errors score zero rather than being excluded
         acc = correction_acc(gt, pred, cap=cap, delta_k=delta_k) if pred else 0.0
-    return EvalRecord(
-        id=rec_id, gt=gt, pred_text=pred_text, pred=pred, parse_error=err,
-        rouge_l=rouge_l(pred_text, gt_text),
-        cosine=cosine_sim(pred_text, gt_text),
-        fuzzy=fuzzy_match(gt_text, pred_text, judge=judge),
-        bin_correct=binary_success(gt, pred, pred_text),
-        acc=acc)
+    return {"id": rec_id, "pred_text": pred_text, "parse_error": err,
+            "rouge_l": rouge_l(pred_text, gt_text),
+            "cosine": cosine_sim(pred_text, gt_text),
+            "fuzzy": fuzzy_match(gt, pred),
+            "bin_correct": binary_success(gt, pred, pred_text), "acc": acc}
 
 
-def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], judge=None,
+def evaluate_dataset(pairs: Sequence[tuple[str, str, str]],
                      cap: int = 3, delta_k: int = 2) -> dict:
     """Aggregate metrics over (id, gt_text, pred_text) triples.
 
@@ -209,9 +154,7 @@ def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], judge=None,
     """
     if not pairs:
         raise ValidationError("cannot evaluate an empty pair set")
-    # report dicts only: the parsed labels of each EvalRecord are not kept
-    records = [evaluate_record(i, g, p, judge=judge, cap=cap, delta_k=delta_k).to_dict()
-               for i, g, p in pairs]
+    records = [evaluate_record(i, g, p, cap=cap, delta_k=delta_k) for i, g, p in pairs]
     accs = [r["acc"] for r in records if r["acc"] is not None]
     return {
         "count": len(records),
@@ -240,14 +183,14 @@ def read_report(path) -> dict:
     return report
 
 
-def render_report(report: dict, title: str = "evaluation") -> str:
+def render_report(report: dict) -> str:
     """Plain-text table mirroring the benchmark column layout."""
     cols = ["ROUGE_L", "Cos. Sim.", "BinSucc(%)", "Fuzzy Match", "Acc."]
     acc = "-" if report["acc"] is None else f"{report['acc']:.3f}"
     vals = [f"{report['rouge_l']:.3f}", f"{report['cosine']:.3f}",
             f"{100.0 * report['bin_succ']:.1f}", f"{report['fuzzy']:.3f}", acc]
     width = max(len(c) for c in cols) + 2
-    lines = [title, "  ".join(c.rjust(width) for c in cols),
+    lines = ["evaluation", "  ".join(c.rjust(width) for c in cols),
              "  ".join(v.rjust(width) for v in vals),
              f"(n={report['count']}, acc over {report['acc_count']} failure GTs; "
              f"cosine embedder: {report['embedder']})"]

@@ -89,10 +89,9 @@ def apply_primitives(actions, primitives: Sequence[ControlPrimitive],
 
 def replay_with_recovery(scene: SceneSpec, failed_actions,
                          primitives: Sequence[ControlPrimitive],
-                         ramp_window: int = 5,
-                         rollout_id: str = "recovered") -> tuple[Rollout, bool]:
+                         ramp_window: int = 5) -> tuple[Rollout, bool]:
     """Replay the edited trajectory and report the surrogate success bit."""
     edited = apply_primitives(failed_actions, primitives, ramp_window=ramp_window)
-    ro = resimulate(scene, edited, rollout_id=rollout_id)
+    ro = resimulate(scene, edited, rollout_id="recovered")
     return ro, ro.outcome == "success"
 

@@ -1,6 +1,6 @@
-"""Semantic-verifier and judge clients: mock, subprocess pipe, and HTTP.
+"""Semantic-verifier clients: mock, subprocess pipe, and HTTP.
 
-Wire protocol (shared by the semantic verifier and the eval judge): one
+Wire protocol of the semantic verifier (verify's only external judge): one
 JSON object per line in, one JSON object per line out. Semantic requests are
 {"instruction", "reference_clip_ref", "candidate_clip_ref"}, where
 reference_clip_ref is always null (no stage pairs a candidate with a

@@ -3,7 +3,6 @@ point-track coherence, calibration, and the all-pass retention gate."""
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -14,7 +13,7 @@ from .core import (NUM_JOINTS, Record, Rollout, JointTrace, decode, read_keys,
                    state_diff, state_diffs)
 from .errors import (InsufficientTrackingError, SchemaError, TransportError,
                      ValidationError)
-from .rollout_io import atomic_open, read_json
+from .rollout_io import read_json, write_json
 from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_tracks
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
 
@@ -324,9 +323,7 @@ def save_calibrations(path, idm: IdmCalibration, joints: JointCalibration,
                       extra: Optional[dict] = None) -> None:
     payload = {"version": CALIBRATION_FORMAT_VERSION, "idm": idm.to_dict(),
                "joints": joints.to_dict(), "reference_stats": extra or {}}
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_calibrations(path) -> tuple[IdmCalibration, JointCalibration, dict]:

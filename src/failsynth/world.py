@@ -20,8 +20,8 @@ import numpy as np
 from .core import GRIPPER, JointTrace, Record, Rollout, TrackSet, step_array, wrap_angle
 from .errors import CameraError, SceneError, ValidationError
 
-WORKSPACE_LO = np.array([0.15, -0.35, 0.0])
-WORKSPACE_HI = np.array([0.75, 0.35, 0.6])
+WORKSPACE_LO = (0.15, -0.35, 0.0)
+WORKSPACE_HI = (0.75, 0.35, 0.6)
 TABLE_Z = 0.02
 
 # Published Franka 7-DOF joint ranges (radians); overridable via config.
@@ -96,19 +96,20 @@ class SceneSpec(Record):
     seed: int = 0
 
     def __post_init__(self):
-        if self.grasp_tolerance <= 0:
+        if not self.grasp_tolerance > 0:  # NaN too
             raise SceneError("grasp_tolerance must be > 0")
         if not 0.0 < self.attach_strength <= 1.0:
             raise SceneError("attach_strength must lie in (0, 1]")
         if not 0.0 <= self.partial_floor < self.attach_strength:
             raise SceneError("partial_floor must lie in [0, attach_strength)")
         for name in ("object_pos", "goal_pos"):
-            p = np.asarray(getattr(self, name), dtype=float)
-            if p.shape != (3,):
+            p = tuple(map(float, getattr(self, name)))
+            if len(p) != 3:
                 raise SceneError(f"{name} must be a 3-vector")
-            if np.any(p < WORKSPACE_LO) or np.any(p > WORKSPACE_HI):
-                raise SceneError(f"{name} {p.tolist()} outside the reachable workspace")
-            object.__setattr__(self, name, tuple(float(v) for v in p))
+            # a NaN coordinate fails the comparison too
+            if not all(lo <= v <= hi for lo, v, hi in zip(WORKSPACE_LO, p, WORKSPACE_HI)):
+                raise SceneError(f"{name} {list(p)} outside the reachable workspace")
+            object.__setattr__(self, name, p)
 
     def start_state(self) -> np.ndarray:
         """Deterministic start state row (see Rollout) from the scene seed."""

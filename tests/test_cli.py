@@ -178,6 +178,17 @@ class TestExitCodes:
         assert _run("calibrate", "-i", tmp_path / "nope.jsonl",
                     "-o", tmp_path / "c.json") == 4
 
+    def test_non_finite_reference_stat_is_4(self, workdir, tmp_path, monkeypatch):
+        """calibration.json is strict JSON: a NaN stat fails calibrate and
+        writes no file."""
+        means = pipeline._Stats.means
+        monkeypatch.setattr(pipeline._Stats, "means",
+                            lambda self: {**means(self), "s_vis": float("nan")})
+        out = tmp_path / "c.json"
+        assert _run("calibrate", "-i", workdir / "demos.jsonl", "-o", out,
+                    "--seed", 11) == 4
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [
         '{"wormholes": 3}', '{"workers": 1}', '{"judge_endpoint": "mock"}',
         '{"trigger": {"action_budget": 80}}'])
@@ -404,6 +415,17 @@ class TestMalformedNestedObjects:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert code == 0 or "schema error" in err
+
+    @pytest.mark.parametrize("mutate, field", [
+        (_edit(("meta", "scene", "object_pos"), [float("nan"), 0.0, 0.02]), "object_pos"),
+        (_edit(("meta", "scene", "grasp_tolerance"), float("nan")), "grasp_tolerance")],
+        ids=["object_pos-nan", "grasp_tolerance-nan"])
+    def test_nan_scene_is_4(self, workdir, tmp_path, capsys, mutate, field):
+        """The scene check itself rejects a NaN, naming the field."""
+        path = _mutated_candidates(workdir, tmp_path, mutate)
+        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                    "-o", tmp_path / "r.jsonl", "--seed", 11) == 4
+        assert f"validation error: {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["[1, 2]", "5", '"abc"', None],
                              ids=["list", "number", "string", "meta-string"])

@@ -44,6 +44,15 @@ class TestSceneSpec:
         with pytest.raises(SceneError):
             _scene(object_pos=(2.0, 0.0, 0.02))
 
+    @pytest.mark.parametrize("kw", [
+        dict(object_pos=(np.nan, 0.0, 0.02)), dict(goal_pos=(0.35, -0.1, np.nan)),
+        dict(object_pos=(0.5, 0.1)), dict(object_pos=(0.5, 0.1, 0.02, 0.0)),
+        dict(grasp_tolerance=np.nan)],
+        ids=["object_pos-nan", "goal_pos-nan", "short", "long", "grasp_tolerance-nan"])
+    def test_rejected_scene(self, kw):
+        with pytest.raises(SceneError):
+            _scene(**kw)
+
     def test_grasp_params(self):
         with pytest.raises(SceneError):
             _scene(grasp_tolerance=0.0)
