@@ -2,7 +2,7 @@
 
 Stages: generate -> perturb -> calibrate -> verify -> label -> recover /
 evaluate -> report. Exit codes: 0 ok, 1 unexpected error, 2 schema error,
-3 transport error, 4 validation error.
+3 transport error, 4 validation error or a path that is missing or not a file.
 """
 
 from __future__ import annotations
@@ -138,6 +138,9 @@ def main(argv=None) -> int:
         return 4
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return 4
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        print(f"bad path: {exc}", file=sys.stderr)
         return 4
 
 

@@ -6,6 +6,8 @@ object for provenance). Angles are radians, lengths meters. Serialization
 is byte-stable: compact separators, insertion-ordered keys, repr-shortest
 floats. verify and label append their member to the text of the line they
 read rather than re-encode the record (with_member, with_meta_member).
+Lines are decoded by orjson wherever it returns what json.loads returns, and
+by json.loads everywhere else (loads_record).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
+import orjson
 
 from .core import JointTrace, Rollout, TrackSet, decode, step_array
 from .errors import SchemaError, ValidationError
@@ -27,6 +30,51 @@ from .perturb import PerturbationSpec
 
 def dumps_record(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+# "-" and the digits read as "0": see _no_long_integer
+_MARKS = bytes.maketrans(b"-123456789", b"0000000000")
+_LONG_RUN = b"0" * 20
+_MAX_OPENERS = 512
+
+
+def _no_long_integer(text: str) -> bool:
+    """False if ``text`` may hold an integer literal outside [-2**63, 2**64).
+
+    Such a literal is 20 digits, or a "-" and 19 digits: a run of 20 marks
+    that does not follow a ".", as a fraction's digits do.
+    """
+    marks = text.encode("utf-8", "surrogatepass").translate(_MARKS)
+    i = marks.find(_LONG_RUN)
+    while i >= 0:
+        if i == 0 or marks[i - 1] != ord("."):
+            return False
+        i = marks.find(_LONG_RUN, i + len(_LONG_RUN))
+    return True
+
+
+def loads_record(text: str):
+    """``json.loads(text)``: the same value, or the same exception.
+
+    orjson computes it where it reads what json reads. orjson has no nesting
+    limit (an object nested deep enough crashes the process), where json
+    raises RecursionError near the interpreter's recursion limit: a text
+    holding fewer than 512 "[" and "{" nests less deeply than json reads,
+    unless the caller's stack is already about 490 frames deep. orjson
+    refuses NaN, Infinity, 1e400, a lone surrogate escape and a BOM, which
+    json reads (or, for the BOM, reports in its own words). And orjson reads
+    an integer outside [-2**63, 2**64) as a float, so its value is kept only
+    for a text without one.
+    """
+    if text.count("[") + text.count("{") < _MAX_OPENERS:
+        try:
+            value = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if _no_long_integer(text):
+                return value
+    return json.loads(text)
 
 
 class SourceRecord(dict):
@@ -154,7 +202,8 @@ def rollout_from_record(rec: dict) -> Rollout:
 
 @contextmanager
 def atomic_open(path) -> Iterator[TextIO]:
-    """Text handle whose content appears at ``path`` only if the block succeeds.
+    """UTF-8 text handle whose content appears at ``path`` only if the block
+    succeeds.
 
     Writes a temp file next to the file ``path`` names (a symlink is
     followed) and renames it over that file on success; on any exception the
@@ -170,7 +219,7 @@ def atomic_open(path) -> Iterator[TextIO]:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     head, tail = os.path.split(path)
@@ -178,7 +227,7 @@ def atomic_open(path) -> Iterator[TextIO]:
     # O_EXCL never opens an existing file; the kernel applies the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
             yield fh
@@ -202,16 +251,28 @@ def read_rollouts(path) -> list[Rollout]:
 
 
 def read_records(path) -> Iterator[dict]:
-    """The JSON value of each non-blank line; an object is a SourceRecord."""
-    with open(path) as fh:
-        for i, line in enumerate(fh):
+    """The JSON value of each non-blank line; an object is a SourceRecord.
+
+    A line that is not UTF-8 or not JSON (nested too deep counts) is a
+    SchemaError naming the file and the line.
+    """
+    # undecodable bytes read as lone surrogates, which UTF-8 text never holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise SchemaError(f"{path}:{n}: not UTF-8: "
+                                      f"byte 0x{byte:02x}") from None
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
+                rec = loads_record(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise SchemaError(f"{path}:{n}: invalid JSON: {exc}") from exc
             if type(rec) is dict:
                 rec = SourceRecord(rec)
                 rec.line = line
@@ -236,10 +297,10 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    """Read a JSON file that must hold one object; SchemaError otherwise."""
-    with open(path) as fh:
+    """Read a UTF-8 JSON file that must hold one object; SchemaError otherwise."""
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return decode(dict, payload, str(path))

@@ -178,6 +178,48 @@ class TestExitCodes:
         assert _run("calibrate", "-i", tmp_path / "nope.jsonl",
                     "-o", tmp_path / "c.json") == 4
 
+    @pytest.mark.parametrize("argv", [
+        ("label", "-i", "{dir}", "-o", "{tmp}/out.jsonl"),
+        ("evaluate", "-i", "{dir}", "--predictions", "{dir}"),
+        ("generate", "-n", 2, "-o", "{dir}"),
+        ("label", "-i", "{tmp}/in.jsonl/x", "-o", "{tmp}/out.jsonl"),
+        ("generate", "-n", 1, "-o", "{tmp}/d.jsonl", "--config", "{dir}")])
+    def test_path_that_is_not_a_file_is_4(self, tmp_path, capsys, argv):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "in.jsonl").write_text("")
+        argv = [str(a).format(dir=tmp_path / "adir", tmp=tmp_path) for a in argv]
+        assert _run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bad path: ") and str(tmp_path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "in.jsonl"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    @staticmethod
+    def _stage_on(stage, path, tmp_path):
+        """Exit code of label or evaluate reading ``path``."""
+        if stage == "label":
+            return _run("label", "-i", path, "-o", tmp_path / "out.jsonl")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        return _run("evaluate", "-i", path, "--predictions", preds)
+
+    @pytest.mark.parametrize("stage", ["label", "evaluate"])
+    def test_line_nested_too_deep_is_2(self, tmp_path, capsys, stage):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text('{"id": "a", "label": "x"}\n' + "[" * 100000 + "\n")
+        assert self._stage_on(stage, bad, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {bad}:2: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize("stage", ["label", "evaluate"])
+    def test_line_not_utf8_is_2(self, tmp_path, capsys, stage):
+        bad = tmp_path / "bad.jsonl"
+        # the reader decodes whole chunks: the bad byte is inside the first
+        ok = b'{"id": "a", "label": "x"}\n'
+        bad.write_bytes(ok * 3 + b'{"id": "\xff"}\n' + ok * 3)
+        assert self._stage_on(stage, bad, tmp_path) == 2
+        assert capsys.readouterr().err == f"schema error: {bad}:4: not UTF-8: byte 0xff\n"
+
     def test_non_finite_reference_stat_is_4(self, workdir, tmp_path, monkeypatch):
         """calibration.json is strict JSON: a NaN stat fails calibrate and
         writes no file."""
@@ -197,6 +239,15 @@ class TestExitCodes:
         cfgfile.write_text(content)
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 2
+
+    @pytest.mark.parametrize("content", [b'{"seed": "\xff"}', b"[" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(content)
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {cfgfile} is not valid JSON")
 
     @pytest.mark.parametrize("argv", [
         ("generate", "-n", 1, "-o", "d.jsonl", "--workers", 2),

@@ -1,6 +1,9 @@
-"""Package exports load their module on first access."""
+"""Package exports load their module on first access, and every third-party
+module the package imports is a declared dependency."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +40,24 @@ def test_star_import():
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         failsynth.no_such_name
+
+
+def test_third_party_imports_are_declared():
+    """Each top-level module imported under src/failsynth that is neither the
+    standard library nor failsynth is named in pyproject.toml's
+    ``dependencies`` (each distribution here shares its module's name)."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(failsynth.__file__).resolve().parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"failsynth"}
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in pyproject["project"]["dependencies"]}
+    assert "numpy" in third_party  # the walk sees the imports
+    assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
