@@ -3,9 +3,14 @@
 One rollout per line with fields in the fixed order id, task, states,
 actions, joints, tracks, spec, outcome (plus an optional trailing meta
 object for provenance). Angles are radians, lengths meters. Serialization
-is byte-stable: compact separators, insertion-ordered keys, repr-shortest
-floats. verify and label append their member to the text of the line they
-read rather than re-encode the record (with_member, with_meta_member).
+is byte-stable: every line is what json.dumps writes with compact
+separators and allow_nan=False (dumps_record), insertion-ordered keys and
+repr-shortest floats. A rollout's arrays are encoded by orjson, each row
+orjson would spell differently by json (dumps_rollout), so the written
+bytes rely on orjson spelling floats from 1e-4 to 1e16 as repr does, which
+tests/test_rollout_oracles.py checks. verify and label append their member
+to the text of the line they read rather than re-encode the record
+(with_member, with_meta_member).
 Lines are decoded by orjson wherever it returns what json.loads returns, and
 by json.loads everywhere else (loads_record).
 """
@@ -28,8 +33,12 @@ from .errors import SchemaError, ValidationError
 from .perturb import PerturbationSpec
 
 
-def dumps_record(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
+# what json.dumps(..., separators=(",", ":"), allow_nan=False) builds per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def dumps_record(record) -> str:
+    return _ENCODER.encode(record)
 
 
 # "-" and the digits read as "0": see _no_long_integer
@@ -129,23 +138,66 @@ def with_meta_member(rec: dict, key: str, value):
     return {**rec, "meta": {**rec.get("meta", {}), key: value}}
 
 
-def rollout_to_record(rollout: Rollout) -> dict:
-    rec = {
-        "id": rollout.id,
-        "task": rollout.task,
-        "states": rollout.states.tolist(),
-        "actions": rollout.actions.tolist(),
-        "joints": None if rollout.joints is None else rollout.joints.q.tolist(),
-        "tracks": None if rollout.tracks is None else {
-            "points": rollout.tracks.points.tolist(),
-            "masks": rollout.tracks.masks.astype(int).tolist(),
-        },
-        "spec": None if rollout.spec is None else rollout.spec.to_dict(),
-        "outcome": rollout.outcome,
-    }
-    if rollout.meta:
-        rec["meta"] = rollout.meta
-    return rec
+# orjson spells a float as repr does for this magnitude range; below it and
+# above it, orjson writes 1e-5 and 1e16 where repr writes 1e-05 and 1e+16
+_REPR_LO, _REPR_HI = 1e-4, 1e16
+
+
+def _dumps_array(a: np.ndarray) -> str:
+    """``dumps_record(a.tolist())`` for a float array.
+
+    Each run of rows (along the first axis) whose every nonzero magnitude is
+    in [1e-4, 1e16) is encoded by orjson, and each other row by json. An array
+    holding a NaN or an infinity is encoded by json whole, which raises.
+    """
+    rows = a.tolist()
+    mag = np.abs(a)
+    if not (mag < np.inf).all():
+        return dumps_record(rows)
+    odd = (mag >= _REPR_HI) | ((mag < _REPR_LO) & (mag != 0.0))
+    if not odd.any():
+        return orjson.dumps(rows).decode()
+    parts, start = [], 0
+    for i in np.flatnonzero(odd.reshape(len(a), -1).any(axis=1)).tolist():
+        if start < i:
+            parts.append(orjson.dumps(rows[start:i])[1:-1].decode())
+        parts.append(dumps_record(rows[i]))
+        start = i + 1
+    if start < len(rows):
+        parts.append(orjson.dumps(rows[start:])[1:-1].decode())
+    return f'[{",".join(parts)}]'
+
+
+def dumps_rollout(ro: Rollout) -> str:
+    """The JSONL line of ``ro``: what dumps_record writes for the object
+    {id, task, states, actions, joints, tracks: {points, masks}, spec,
+    outcome} with a trailing meta member when ``ro.meta`` is non-empty.
+
+    The arrays go through _dumps_array; the masks are 0/1 integers. Members
+    are encoded in line order, so an unencodable one raises what
+    dumps_record raises.
+    """
+    return "".join(_rollout_parts(ro))
+
+
+def _rollout_parts(ro: Rollout) -> list[str]:
+    """The pieces of dumps_rollout's line, in order."""
+    parts = ['{"id":', dumps_record(ro.id), ',"task":', dumps_record(ro.task),
+             ',"states":', _dumps_array(ro.states),
+             ',"actions":', _dumps_array(ro.actions),
+             ',"joints":', "null" if ro.joints is None else _dumps_array(ro.joints.q)]
+    if ro.tracks is None:
+        parts.append(',"tracks":null')
+    else:
+        masks = orjson.dumps(ro.tracks.masks.astype(int).tolist()).decode()
+        parts += [',"tracks":{"points":', _dumps_array(ro.tracks.points),
+                  ',"masks":', masks, "}"]
+    parts += [',"spec":', "null" if ro.spec is None else dumps_record(ro.spec.to_dict()),
+              ',"outcome":', dumps_record(ro.outcome)]
+    if ro.meta:
+        parts += [',"meta":', dumps_record(ro.meta)]
+    parts.append("}")
+    return parts
 
 
 def _step_rows(rows, kind: str) -> np.ndarray:
@@ -241,7 +293,9 @@ def write_rollouts(path, rollouts: Iterable[Rollout]) -> int:
     n = 0
     with atomic_open(path) as fh:
         for ro in rollouts:
-            fh.write(dumps_record(rollout_to_record(ro)) + "\n")
+            # piece by piece: the whole line, 12 KB and more, is never built
+            fh.writelines(_rollout_parts(ro))
+            fh.write("\n")
             n += 1
     return n
 

@@ -3,6 +3,7 @@ point-track coherence, calibration, and the all-pass retention gate."""
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -70,13 +71,23 @@ class NoisyPredictor:
 
 
 def predictor_from_spec(spec: str, seed: int = 0):
-    """"oracle" or "noisy:<sigma_xyz>,<sigma_rpy>"."""
+    """"oracle" or "noisy:<sigma_xyz>,<sigma_rpy>", two finite sigmas >= 0.
+
+    Any other spec is a ValidationError naming the config field.
+    """
     if spec == "oracle":
         return OraclePredictor()
     if spec.startswith("noisy:"):
-        sx, sr = (float(v) for v in spec[6:].split(","))
-        return NoisyPredictor(sigma_xyz=sx, sigma_rpy=sr, seed=seed)
-    raise ValueError(f"unknown predictor spec {spec!r}")
+        try:
+            sx, sr = (float(v) for v in spec[6:].split(","))
+        except ValueError:
+            sx = sr = math.nan
+        if 0.0 <= sx < math.inf and 0.0 <= sr < math.inf:
+            return NoisyPredictor(sigma_xyz=sx, sigma_rpy=sr, seed=seed)
+        raise ValidationError(f"verifier.predictor {spec!r}: want "
+                              "noisy:<sigma_xyz>,<sigma_rpy>, two finite numbers >= 0")
+    raise ValidationError(f"verifier.predictor {spec!r}: want oracle or "
+                          "noisy:<sigma_xyz>,<sigma_rpy>")
 
 
 # ---------------------------------------------------------------------------

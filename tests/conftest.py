@@ -1,9 +1,22 @@
+import sys
+
 import pytest
 
 from failsynth.config import PipelineConfig
 from failsynth.pipeline import sample_scene
 from failsynth.verify import calibrate_idm, calibrate_joints, OraclePredictor
 from failsynth.world import script_success, synthesize_observations
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_kept():
+    """Fail a test that leaves the interpreter's recursion limit changed:
+    how deep a JSONL line json reads (read_records) depends on it."""
+    limit = sys.getrecursionlimit()
+    yield
+    left = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    assert left == limit, f"the test left the recursion limit at {left}, not {limit}"
 
 
 @pytest.fixture(scope="session")

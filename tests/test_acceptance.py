@@ -89,7 +89,6 @@ class TestCriterion1MetricExactness:
         start = time.time()
 
         import sys
-        sys.setrecursionlimit(10000)
 
         @lru_cache(maxsize=None)
         def oracle_lcs(a, b):
@@ -104,22 +103,27 @@ class TestCriterion1MetricExactness:
         for l in range(1, 9):
             by_len[l] = ["".join(p) for p in itertools.product(alphabet, repeat=l)]
 
-        checked = 0
-        ok = True
-        for la in range(0, 9):
-            for lb in range(0, 9 - la):
-                for a in by_len[la]:
-                    for b in by_len[lb]:
-                        got = rouge_l(" ".join(a), " ".join(b))
-                        lcs = oracle_lcs(a, b)
-                        if la == 0 or lb == 0 or lcs == 0:
-                            want = 0.0
-                        else:
-                            p, r = lcs / la, lcs / lb
-                            want = 2 * p * r / (p + r)
-                        if abs(got - want) > 1e-12:
-                            ok = False
-                        checked += 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10000)
+        try:
+            checked = 0
+            ok = True
+            for la in range(0, 9):
+                for lb in range(0, 9 - la):
+                    for a in by_len[la]:
+                        for b in by_len[lb]:
+                            got = rouge_l(" ".join(a), " ".join(b))
+                            lcs = oracle_lcs(a, b)
+                            if la == 0 or lb == 0 or lcs == 0:
+                                want = 0.0
+                            else:
+                                p, r = lcs / la, lcs / lb
+                                want = 2 * p * r / (p + r)
+                            if abs(got - want) > 1e-12:
+                                ok = False
+                            checked += 1
+        finally:
+            sys.setrecursionlimit(limit)
         elapsed = time.time() - start
         ok = ok and checked == 83653 and elapsed < 10.0
         _report(1, f"ROUGE-L matches brute-force LCS oracle on {checked} pairs "

@@ -231,6 +231,19 @@ class TestExitCodes:
                     "--seed", 11) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["noisy:1", "noisy:a,b", "noisy:-1,0", "noisy:nan,0"])
+    def test_bad_predictor_spec_is_4(self, workdir, tmp_path, capsys, spec):
+        """A malformed, negative or non-finite verifier.predictor is a
+        validation error that names the field; calibrate writes no file."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"verifier": {"predictor": spec}}))
+        out = tmp_path / "c.json"
+        assert _run("calibrate", "-i", workdir / "demos.jsonl", "-o", out,
+                    "--config", cfgfile) == 4
+        assert capsys.readouterr().err.startswith(
+            f"validation error: verifier.predictor {spec!r}: want ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [
         '{"wormholes": 3}', '{"workers": 1}', '{"judge_endpoint": "mock"}',
         '{"trigger": {"action_budget": 80}}'])

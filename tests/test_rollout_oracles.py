@@ -5,22 +5,25 @@ per-step state/action objects, a simulation loop that builds one state per
 step, per-row perturbation and recovery edits, and a parser that builds one
 object per JSON row. States, object trajectories, outcomes, edited actions
 and record bytes must be bit-equal to them; the record parser must raise the
-same error class on any mutated record.
+same error class on any mutated record. A rollout's line must be what
+json.dumps writes for the record dict it was first written from.
 """
 
 import copy
 import json
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from failsynth.cli import main
 from failsynth.config import PipelineConfig
-from failsynth.core import GRIPPER, JointTrace, TrackSet
+from failsynth.core import GRIPPER, JointTrace, Rollout, TrackSet
 from failsynth.errors import SchemaError, ValidationError
 from failsynth.labels import generate_label
 from failsynth.perturb import (GRIPPER_THRESHOLD, PerturbationSpec,
@@ -29,8 +32,8 @@ from failsynth.pipeline import (FAILURE_TYPES, cmd_calibrate, cmd_label,
                                 perturb_one, sample_scene)
 from failsynth.recovery import (GripperClose, Reclose, TranslateDelta,
                                 apply_primitives, map_to_primitives)
-from failsynth.rollout_io import (dumps_record, rollout_from_record,
-                                  rollout_to_record, write_rollouts)
+from failsynth.rollout_io import (dumps_record, dumps_rollout, rollout_from_record,
+                                  write_rollouts)
 from failsynth.world import _near, _simulate, resimulate, script_success
 
 
@@ -196,9 +199,29 @@ def apply_primitives_loop(actions, primitives, ramp_window=5):
     return tuple(out)
 
 
+def record_oracle(ro):
+    """The record dict whose json.dumps is ro's line."""
+    rec = {
+        "id": ro.id,
+        "task": ro.task,
+        "states": ro.states.tolist(),
+        "actions": ro.actions.tolist(),
+        "joints": None if ro.joints is None else ro.joints.q.tolist(),
+        "tracks": None if ro.tracks is None else {
+            "points": ro.tracks.points.tolist(),
+            "masks": ro.tracks.masks.astype(int).tolist(),
+        },
+        "spec": None if ro.spec is None else ro.spec.to_dict(),
+        "outcome": ro.outcome,
+    }
+    if ro.meta:
+        rec["meta"] = ro.meta
+    return rec
+
+
 def record_loop(ro, states, actions):
     """The record the per-step writer made for ro, from per-step objects."""
-    rec = rollout_to_record(ro)
+    rec = record_oracle(ro)
     rec["states"] = [list(s.as_tuple()) for s in states]
     rec["actions"] = [list(a.as_tuple()) for a in actions]
     return rec
@@ -409,24 +432,118 @@ class TestEdits:
 # ---------------------------------------------------------------------------
 # records
 
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _neighbours(v):
+    return [float(np.nextafter(v, -np.inf)), v, float(np.nextafter(v, np.inf))]
+
+
+# each power of ten from 1e-5 to 1e17, with the doubles on either side
+_EDGES = [w for k in range(-5, 18) for v in (10.0 ** k, -(10.0 ** k))
+          for w in _neighbours(v)]
+# uniform bits: every exponent, subnormals included, equally often
+_FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     *_neighbours(1e-4), *_neighbours(-1e16)]),
+    st.sampled_from(_EDGES), st.floats(-1.0, 1.0))
+_GRIPPER = st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 5e-324, 1e-5, *_neighbours(1e-4), 1.0]))
+_REPR_RANGE = st.one_of(
+    st.builds(lambda sign, e, m: sign * math.ldexp(1.0 + m / 2.0 ** 52, e),
+              st.sampled_from([1.0, -1.0]), st.integers(-14, 53),
+              st.integers(0, 2 ** 52 - 1)),
+    st.sampled_from(_EDGES)).filter(lambda v: 1e-4 <= abs(v) < 1e16)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f"\\é\u2028😀')),
+                max_size=8)
+_META = st.dictionaries(_TEXT, st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6), max_size=3)
+_SPECS = st.sampled_from([
+    None, PerturbationSpec("weak_close", 3, strength_scale=1e-5),
+    PerturbationSpec("translation", 7, offset_x=0.01, offset_y=-2e-5, sigma=0.02,
+                     seed=1)])
+
+
+@st.composite
+def _rollouts(draw):
+    """A Rollout of 1-3 steps with drawn floats, optional joints and tracks
+    (a NaN or an infinity may sit at a hidden track point), spec, outcome,
+    id, task and meta."""
+    t = draw(st.integers(1, 3))
+
+    def floats(*shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+                        dtype=float).reshape(shape)
+
+    def steps(n):
+        grip = draw(st.lists(_GRIPPER, min_size=n, max_size=n))
+        return np.column_stack([floats(n, 6), grip])
+
+    joints = tracks = None
+    if draw(st.booleans()):
+        joints = JointTrace(floats(t + 1, 7))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 2))
+        points = floats(m, t + 1, 2)
+        masks = np.array(draw(st.lists(st.booleans(), min_size=m * (t + 1),
+                                       max_size=m * (t + 1))), dtype=bool).reshape(m, t + 1)
+        hidden = np.argwhere(~masks)
+        if len(hidden) and draw(st.booleans()):
+            i = draw(st.integers(0, len(hidden) - 1))
+            points[tuple(hidden[i])] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        tracks = TrackSet(points=points, masks=masks)
+    return Rollout(id=draw(_TEXT), task=draw(_TEXT), states=steps(t + 1), actions=steps(t),
+                   joints=joints, tracks=tracks, spec=draw(_SPECS),
+                   outcome=draw(st.sampled_from([None, "success", "fail"])),
+                   meta=draw(_META))
+
+
 class TestRecords:
     def test_bytes_match_per_step_writer(self, cases):
         for scene, demo, cands in cases:
             for ro in (demo, *cands.values()):
                 ref_states, _, _ = simulate_loop(scene, ref_actions(ro.actions))
                 want = dumps_record(record_loop(ro, ref_states, ref_actions(ro.actions)))
-                assert dumps_record(rollout_to_record(ro)) == want
+                assert dumps_rollout(ro) == want
                 back = rollout_from_record(json.loads(want))
-                assert dumps_record(rollout_to_record(back)) == want
+                assert dumps_rollout(back) == want
 
     def test_parse_matches_per_step_parser(self, cases):
         for _, demo, cands in cases:
             for ro in (demo, *cands.values()):
-                rec = json.loads(dumps_record(rollout_to_record(ro)))
+                rec = json.loads(dumps_rollout(ro))
                 ref_states, ref_acts = parse_loop(rec)
                 got = rollout_from_record(rec)
                 assert_bits(got.states, rows(ref_states))
                 assert_bits(got.actions, rows(ref_acts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ro=_rollouts())
+    def test_dumps_rollout_is_json_dumps_of_the_record(self, ro):
+        """The same line, or the same ValueError (a NaN or an infinity at a
+        hidden track point)."""
+        try:
+            want = json.dumps(record_oracle(ro), separators=(",", ":"), allow_nan=False)
+        except ValueError as exc:
+            event("ValueError")
+            with pytest.raises(ValueError) as got:
+                dumps_rollout(ro)
+            assert str(got.value) == str(exc)
+            return
+        event(f"joints {ro.joints is not None}, tracks {ro.tracks is not None}, "
+              f"meta {bool(ro.meta)}")
+        assert dumps_rollout(ro) == want
+
+    @settings(max_examples=1000, deadline=None)
+    @given(v=_REPR_RANGE)
+    def test_orjson_spells_floats_as_repr_from_1e_minus_4_to_1e16(self, v):
+        """dumps_rollout hands orjson the floats in this range only."""
+        assert orjson.dumps(v).decode() == repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +601,7 @@ def cli_inputs(tmp_path_factory):
     demo = script_success(scene, horizon=cfg.horizon, rollout_id="demo-0")
     write_rollouts(d / "demos.jsonl", [demo])
     cmd_calibrate(cfg, d / "demos.jsonl", d / "calib.json")
-    recs = [json.loads(dumps_record(rollout_to_record(perturb_one(demo, cfg, 0, ft)[0])))
+    recs = [json.loads(dumps_rollout(perturb_one(demo, cfg, 0, ft)[0]))
             for ft in FAILURE_TYPES[:2]]
     return d, recs
 

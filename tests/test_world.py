@@ -3,7 +3,7 @@ import pytest
 
 from failsynth.core import GRIPPER, detect_keyframes
 from failsynth.errors import CameraError, SceneError, ValidationError
-from failsynth.rollout_io import dumps_record, rollout_to_record
+from failsynth.rollout_io import dumps_rollout
 from failsynth.world import (FRANKA_Q_MAX, FRANKA_Q_MIN, ArtifactSpec,
                              CameraSpec, SceneSpec, _smooth_profile,
                              _trapezoid_profile, joint_surrogate, resimulate,
@@ -95,7 +95,7 @@ class TestScriptedDemo:
     def test_deterministic_bytes(self, scene):
         a = script_success(scene, horizon=60, rollout_id="x")
         b = script_success(scene, horizon=60, rollout_id="x")
-        assert dumps_record(rollout_to_record(a)) == dumps_record(rollout_to_record(b))
+        assert dumps_rollout(a) == dumps_rollout(b)
 
     def test_resimulate_round_trip(self, demo, scene):
         again = resimulate(scene, demo.actions, rollout_id=demo.id)
