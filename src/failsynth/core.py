@@ -10,7 +10,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Annotated, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +93,44 @@ def _to_json(v):
     return v
 
 
+class Range(NamedTuple):
+    """The numbers a field accepts, declared in its annotation: Annotated[float,
+    Range(0, 1, lo_open=True)] is (0, 1]. An open end excludes its value, an
+    absent end is infinite and open, and NaN lies in no range."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __str__(self) -> str:
+        return (f"{'[('[self.lo_open or self.lo == -math.inf]}{self.lo}, "
+                f"{self.hi}{'])'[self.hi_open or self.hi == math.inf]}")
+
+
+def check_order(a: str, u, b: str, v, strict=False, error=ValidationError) -> None:
+    """The cross-field rule u <= v (u < v if strict) on fields a and b."""
+    if u >= v if strict else u > v:
+        raise error(f"{a} {u!r} must be {'<' if strict else '<='} {b} {v!r}")
+
+
+def _bounds(tp, name: str, index=None, size=None) -> list:
+    """(field, index, size, lo, hi, Range) per number the annotation tp bounds, where
+    index is None, a position in a tuple of size numbers, or ... for each dict value,
+    and lo <= v <= hi exactly when v lies in the Range (open ends move inward)."""
+    origin, args, inf = typing.get_origin(tp), typing.get_args(tp), math.inf
+    if origin is Annotated:
+        return [(name, index, size,
+                 math.nextafter(r.lo, inf) if r.lo_open or r.lo == -inf else r.lo,
+                 math.nextafter(r.hi, -inf) if r.hi_open or r.hi == inf else r.hi, r)
+                for r in tp.__metadata__ if isinstance(r, Range)]
+    if origin is tuple and args[-1] is not ...:
+        return [b for i, t in enumerate(args) for b in _bounds(t, name, i, len(args))]
+    if origin is typing.Union:  # Optional[X]
+        return _bounds(args[0], name)
+    return _bounds(args[1], name, ...) if origin is dict else []
+
+
 @functools.cache
 def _plan(cls) -> tuple:
     """The field plan of the dataclass cls: (name, annotation, exact) per
@@ -128,7 +166,10 @@ def _decode_object(cls, data, name: str):
         if n in data:
             v = data[n]
             kwargs[n] = v if type(v) in exact else decode(tp, v, f"{name}.{n}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:  # a range or cross-field fault, which names its field
+        raise type(exc)(f"{name}.{exc}") from None
 
 
 class Record:
@@ -142,10 +183,30 @@ class Record:
     reads: an unknown key or a mistyped value is a SchemaError, and a missing
     key takes the field's default, or is a SchemaError when the field has
     none. to_dict gives lists for tuples and arrays, and an enum's value.
+    Construction checks each declared Range, then the class's own
+    __post_init__ (its cross-field rules), raising `class C(Record, error=E)`'s
+    E (ValidationError by default); from_dict prefixes the dotted path.
     """
 
-    def __init_subclass__(cls, **kwargs):
+    def __init_subclass__(cls, error=ValidationError, **kwargs):
         super().__init_subclass__(**kwargs)
+        bounds = [b for n, tp in typing.get_type_hints(cls, include_extras=True).items()
+                  for b in _bounds(tp, n)]
+        hook = cls.__dict__.get("__post_init__", lambda self: None)  # cross-field rules
+
+        def __post_init__(self):
+            for n, i, size, lo, hi, r in bounds:
+                v = getattr(self, n)
+                if i is ...:  # a dict: its first value out of range, else lo
+                    i, v = next(((k, x) for k, x in v.items() if not lo <= x <= hi), (i, lo))
+                elif i is not None:
+                    if len(v) != size:
+                        raise error(f"{n} must hold {size} numbers, got {v!r}")
+                    v = v[i]
+                if v is not None and not lo <= v <= hi:
+                    raise error(f"{n}{'' if i is None else f'[{i!r}]'} must lie in {r}, got {v!r}")
+            hook(self)
+        cls.__post_init__ = __post_init__
         dataclass(frozen=True)(cls)
         _plan(cls)
 

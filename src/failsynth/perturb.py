@@ -10,11 +10,11 @@ spec to the original rollout reproduces the perturbed actions bit-exactly.
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
-from .core import GRIPPER, FailureType, Record, Rollout, step_array
+from .core import GRIPPER, FailureType, Range, Record, Rollout, step_array
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -31,19 +31,17 @@ class PerturbationSpec(Record):
     """
 
     failure_type: FailureType
-    keyframe: int
-    window: int = 5
-    delay_steps: Optional[int] = None
-    strength_scale: Optional[float] = None
+    keyframe: Annotated[int, Range(0)]
+    window: Annotated[int, Range(1)] = 5
+    delay_steps: Optional[Annotated[int, Range(0)]] = None
+    strength_scale: Optional[Annotated[float, Range(0, 1, lo_open=True)]] = None
     invert: bool = False
-    offset_x: Optional[float] = None
-    offset_y: Optional[float] = None
-    sigma: Optional[float] = None
-    seed: Optional[int] = None
+    offset_x: Optional[Annotated[float, Range(-1, 1)]] = None  # m
+    offset_y: Optional[Annotated[float, Range(-1, 1)]] = None
+    sigma: Optional[Annotated[float, Range(0, 1, lo_open=True)]] = None
+    seed: Optional[Annotated[int, Range(0)]] = None
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValidationError("window must be >= 1")
         ft = FailureType(self.failure_type)
         object.__setattr__(self, "failure_type", ft)
         required = {
@@ -54,7 +52,7 @@ class PerturbationSpec(Record):
         }[ft]
         for name in required:
             if getattr(self, name) is None:
-                raise ValidationError(f"{ft.value} spec missing {name}")
+                raise ValidationError(f"{name} is required for a {ft.value} spec")
 
 
 def ramp_translation(actions: np.ndarray, at: int, window: int, dx: float,
@@ -101,8 +99,6 @@ def apply_perturbation(actions, spec: PerturbationSpec) -> np.ndarray:
 
     if ft is FailureType.delay_close:
         d = spec.delay_steps
-        if d < 0:
-            raise ValidationError("delay_steps must be >= 0")
         if k + d >= n:
             raise ValidationError(
                 f"delay {d} pushes closure past horizon {n}; extend or reject")
@@ -112,8 +108,6 @@ def apply_perturbation(actions, spec: PerturbationSpec) -> np.ndarray:
 
     if ft is FailureType.weak_close:
         s = spec.strength_scale
-        if not 0.0 < s <= 1.0:
-            raise ValidationError(f"strength_scale {s} outside (0, 1]")
         g[k:] = 1.0 - s * (1.0 - g[k:])
         return out
 
@@ -148,8 +142,6 @@ def inject_weak_close(rollout: Rollout, keyframe: int, strength_scale: float,
                       window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
     """Scale closing depth down: cmd' = 1 - scale * (1 - cmd) from keyframe on."""
     _require_closing_keyframe(rollout.actions, keyframe)
-    if not 0.0 < strength_scale <= 1.0:
-        raise ValidationError(f"strength_scale {strength_scale} outside (0, 1]")
     spec = PerturbationSpec(FailureType.weak_close, keyframe, window=window,
                             strength_scale=float(strength_scale))
     return apply_perturbation(rollout.actions, spec), spec

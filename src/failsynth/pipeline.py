@@ -62,7 +62,7 @@ def sample_scene(cfg: PipelineConfig, index: int) -> SceneSpec:
         if np.linalg.norm(np.array(obj) - np.array(goal)) >= sc.min_separation:
             break
     else:
-        raise ValidationError("could not sample a separated object/goal pair")
+        raise ValidationError(f"scene.min_separation {sc.min_separation!r}: no pair that far apart")
     return SceneSpec(object_pos=obj, goal_pos=goal,
                      grasp_tolerance=sc.grasp_tolerance,
                      attach_strength=sc.attach_strength,
@@ -108,7 +108,7 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
     if failure_type is FailureType.delay_close:
         hi = min(pc.delay_max, rollout.horizon - 1 - k)
         if hi < pc.delay_min:
-            raise ValidationError("horizon too short for the configured delay range")
+            raise ValidationError(f"horizon too short for perturb.delay_min {pc.delay_min}")
         delay = int(rng.integers(pc.delay_min, hi + 1))
         actions, spec = inject_delay_close(rollout, k, delay, window=pc.window)
     elif failure_type is FailureType.weak_close:
@@ -236,8 +236,11 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
     """Run the four-verifier gate over a candidate file, one candidate at a time."""
     idm_calib, joint_calib, gt_stats = load_calibrations(calib_path)
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
-    counts = {"semantic_validity": 0, "semantic_visual": 0, "idm": 0,
-              "joint": 0, "track": 0}
+    # each rejection counter, in manifest order, and the report bit it counts
+    rejections = {"semantic_validity": "semantic_valid_failure",
+                  "semantic_visual": "semantic_visual_ok", "idm": "idm_pass",
+                  "joint": "joint_pass", "track": "track_pass"}
+    counts = dict.fromkeys(rejections, 0)
     generated = quarantined = rejected = 0
     stats = _Stats()
 
@@ -253,16 +256,8 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
                 log.warning("quarantining %s: %s", cand.id, exc)
                 quarantined += 1
                 continue
-            if not report.semantic_valid_failure:
-                counts["semantic_validity"] += 1
-            if not report.semantic_visual_ok:
-                counts["semantic_visual"] += 1
-            if not report.idm_pass:
-                counts["idm"] += 1
-            if not report.joint_pass:
-                counts["joint"] += 1
-            if not report.track_pass:
-                counts["track"] += 1
+            for counter, passed in rejections.items():
+                counts[counter] += not getattr(report, passed)
             if report.track_scores is not None:
                 stats.add_scores(report.track_scores)
             stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)

@@ -22,7 +22,7 @@ import threading
 import time
 from typing import Optional
 
-from .errors import TransportError
+from .errors import TransportError, ValidationError
 
 # Seconds a judge may take to answer one request.
 DEFAULT_TIMEOUT_S = 10.0
@@ -165,4 +165,4 @@ def client_from_endpoint(endpoint: str, floors: Optional[dict] = None):
         return PipeClient(endpoint[5:].split())
     if endpoint.startswith(("http:", "https:")):
         return HttpClient(endpoint)
-    raise ValueError(f"unknown endpoint spec {endpoint!r}")
+    raise ValidationError(f"semantic_endpoint {endpoint!r}: want mock, pipe:<cmd> or http(s):<url>")

@@ -9,10 +9,11 @@ global continuity (per-adjacent-pair affine fits). Each score is clipped to
 from __future__ import annotations
 
 import math
+from typing import Annotated
 
 import numpy as np
 
-from .core import Record, TrackSet
+from .core import Range, Record, TrackSet
 from .errors import InsufficientTrackingError, ValidationError
 
 
@@ -33,24 +34,24 @@ def quantile_sorted(values, q: float) -> float:
 class TrackScoreConfig(Record):
     """Thresholds and weights for track scoring; paper leaves these open."""
 
-    tau_acc: float = 2.0        # px/step^2
-    tau_topo: float = 0.08
-    tau_rmse: float = 1.5       # px
-    tau_jitter: float = 0.5
-    knn_k: int = 4
-    eps: float = 1e-6           # px, topology denominator guard
-    weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    spike_ratio: float = 5.0    # spike = accel above this multiple of the track median
-    spike_floor: float = 10.0   # px/step^2, absolute floor under the spike threshold
-    acc_quantile: float = 0.95
-    global_quantile: float = 0.9
-    min_track_visibility: float = 0.8   # a track counts as confident if visible this often
-    min_visible_fraction: float = 0.6   # required fraction of confident tracks
-    retention_floor: float = 0.75       # gate floor on the total score
+    tau_acc: Annotated[float, Range(0, lo_open=True)] = 2.0      # px/step^2
+    tau_topo: Annotated[float, Range(0, lo_open=True)] = 0.08
+    tau_rmse: Annotated[float, Range(0, lo_open=True)] = 1.5     # px
+    tau_jitter: Annotated[float, Range(0, lo_open=True)] = 0.5
+    knn_k: Annotated[int, Range(1)] = 4
+    eps: Annotated[float, Range(0, lo_open=True)] = 1e-6         # px, topology denominator guard
+    weights: tuple[(Annotated[float, Range(0, 1)],) * 4] = (0.25, 0.25, 0.25, 0.25)
+    spike_ratio: Annotated[float, Range(0)] = 5.0  # spike = accel above this x track median
+    spike_floor: Annotated[float, Range(0)] = 10.0  # px/step^2, absolute floor under it
+    acc_quantile: Annotated[float, Range(0, 1)] = 0.95
+    global_quantile: Annotated[float, Range(0, 1)] = 0.9
+    min_track_visibility: Annotated[float, Range(0, 1)] = 0.8  # confident if visible this often
+    min_visible_fraction: Annotated[float, Range(0, 1)] = 0.6  # required confident fraction
+    retention_floor: Annotated[float, Range(0, 1)] = 0.75  # gate floor on the total score
 
     def __post_init__(self):
         if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValidationError("track score weights must sum to 1")
+            raise ValidationError(f"weights {list(self.weights)} must sum to 1")
 
 
 class PointTrackScores(Record):

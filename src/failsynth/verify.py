@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
-from .core import (NUM_JOINTS, Record, Rollout, JointTrace, decode, read_keys,
+from .core import (NUM_JOINTS, Range, Record, Rollout, JointTrace, decode, read_keys,
                    state_diff, state_diffs)
 from .errors import (InsufficientTrackingError, SchemaError, TransportError,
                      ValidationError)
@@ -100,18 +100,14 @@ class IdmCalibration(Record):
     margin and epsilon floor actually used by the gate.
     """
 
-    tau: float
-    tau_raw: float
-    d: int
-    percentile: float
-    mae_xyz: float
-    mae_rpy: float
-    margin: float
-    radian_weight: float = DEFAULT_RADIAN_WEIGHT
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("idm tau must be > 0")
+    tau: Annotated[float, Range(0, lo_open=True)]
+    tau_raw: Annotated[float, Range(0)]
+    d: Annotated[int, Range(1)]
+    percentile: Annotated[float, Range(0, 1)]
+    mae_xyz: Annotated[float, Range(0)]
+    mae_rpy: Annotated[float, Range(0)]
+    margin: Annotated[float, Range(0)]
+    radian_weight: Annotated[float, Range(0)] = DEFAULT_RADIAN_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -176,12 +172,12 @@ class JointCalibration(Record):
 
     q_min: np.ndarray
     q_max: np.ndarray
-    tau_v: float
-    tau_a: float
-    p95_v: float
-    p95_a: float
-    percentile: float = 0.95
-    margin: float = 2.0
+    tau_v: Annotated[float, Range(0, lo_open=True)]
+    tau_a: Annotated[float, Range(0, lo_open=True)]
+    p95_v: Annotated[float, Range(0)]
+    p95_a: Annotated[float, Range(0)]
+    percentile: Annotated[float, Range(0, 1)] = 0.95
+    margin: Annotated[float, Range(0, lo_open=True)] = 2.0
 
     def __post_init__(self):
         q_min = np.asarray(self.q_min, dtype=float)
@@ -192,8 +188,6 @@ class JointCalibration(Record):
                                   f"numbers, got shape {limits.shape}")
         if np.any(q_min >= q_max):
             raise ValidationError("q_min must be < q_max per joint")
-        if self.tau_v <= 0 or self.tau_a <= 0:
-            raise ValidationError("tau_v and tau_a must be > 0")
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "q_max", q_max)
 

@@ -13,15 +13,18 @@ kinematic signals only.
 from __future__ import annotations
 
 import math
-from dataclasses import field, fields, replace
+from dataclasses import field, replace
+from typing import Annotated
 
 import numpy as np
 
-from .core import GRIPPER, JointTrace, Record, Rollout, TrackSet, step_array, wrap_angle
+from .core import (GRIPPER, JointTrace, Range, Record, Rollout, TrackSet, check_order,
+                   step_array, wrap_angle)
 from .errors import CameraError, SceneError, ValidationError
 
-WORKSPACE_LO = (0.15, -0.35, 0.0)
-WORKSPACE_HI = (0.75, 0.35, 0.6)
+# An x, y and z coordinate inside the reachable workspace, m.
+WORKSPACE = (Annotated[float, Range(0.15, 0.75)], Annotated[float, Range(-0.35, 0.35)],
+             Annotated[float, Range(0.0, 0.6)])
 TABLE_Z = 0.02
 
 # Published Franka 7-DOF joint ranges (radians); overridable via config.
@@ -62,11 +65,11 @@ _GRID_Y = np.linspace(-0.25, 0.25, GRID_H)
 class CameraSpec(Record):
     """Static overhead pinhole camera looking straight down at the desk."""
 
-    fx: float = 600.0
-    fy: float = 600.0
-    cx: float = 320.0
-    cy: float = 240.0
-    position: tuple[float, float, float] = (0.45, 0.0, 0.95)
+    fx: Annotated[float, Range(0, 1e5, lo_open=True)] = 600.0  # px
+    fy: Annotated[float, Range(0, 1e5, lo_open=True)] = 600.0
+    cx: Annotated[float, Range(-1e5, 1e5)] = 320.0
+    cy: Annotated[float, Range(-1e5, 1e5)] = 240.0
+    position: tuple[(Annotated[float, Range(-10.0, 10.0)],) * 3] = (0.45, 0.0, 0.95)  # m
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Project (N, 3) world points to (N, 2) pixels."""
@@ -83,33 +86,23 @@ class CameraSpec(Record):
         return np.array([self.cx, self.cy])
 
 
-class SceneSpec(Record):
+class SceneSpec(Record, error=SceneError):
     """Scene geometry, grasp parameters, camera, and the rollout seed."""
 
-    object_pos: tuple[float, float, float]
-    goal_pos: tuple[float, float, float]
-    grasp_tolerance: float = 0.01
-    attach_strength: float = 0.7
-    partial_floor: float = 0.2
-    slip_delay: int = 3
+    object_pos: tuple[WORKSPACE]
+    goal_pos: tuple[WORKSPACE]
+    grasp_tolerance: Annotated[float, Range(0, lo_open=True)] = 0.01
+    attach_strength: Annotated[float, Range(0, 1, lo_open=True)] = 0.7
+    partial_floor: Annotated[float, Range(0, 1, hi_open=True)] = 0.2
+    slip_delay: Annotated[int, Range(0)] = 3
     camera: CameraSpec = field(default_factory=CameraSpec)
-    seed: int = 0
+    seed: Annotated[int, Range(0)] = 0
 
     def __post_init__(self):
-        if not self.grasp_tolerance > 0:  # NaN too
-            raise SceneError("grasp_tolerance must be > 0")
-        if not 0.0 < self.attach_strength <= 1.0:
-            raise SceneError("attach_strength must lie in (0, 1]")
-        if not 0.0 <= self.partial_floor < self.attach_strength:
-            raise SceneError("partial_floor must lie in [0, attach_strength)")
-        for name in ("object_pos", "goal_pos"):
-            p = tuple(map(float, getattr(self, name)))
-            if len(p) != 3:
-                raise SceneError(f"{name} must be a 3-vector")
-            # a NaN coordinate fails the comparison too
-            if not all(lo <= v <= hi for lo, v, hi in zip(WORKSPACE_LO, p, WORKSPACE_HI)):
-                raise SceneError(f"{name} {list(p)} outside the reachable workspace")
-            object.__setattr__(self, name, p)
+        check_order("partial_floor", self.partial_floor, "attach_strength",
+                    self.attach_strength, strict=True, error=SceneError)
+        object.__setattr__(self, "object_pos", tuple(map(float, self.object_pos)))
+        object.__setattr__(self, "goal_pos", tuple(map(float, self.goal_pos)))
 
     def start_state(self) -> np.ndarray:
         """Deterministic start state row (see Rollout) from the scene seed."""
@@ -126,18 +119,11 @@ class SceneSpec(Record):
 class ArtifactSpec(Record):
     """Controlled observation corruptions; all zero means a clean rollout."""
 
-    jitter_px: float = 0.0
-    flicker_rate: float = 0.0
-    topo_warp: float = 0.0
-    affine_jitter: float = 0.0
-    joint_spike: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValidationError(f"{f.name} must be >= 0")
-        if self.flicker_rate > 1.0:
-            raise ValidationError("flicker_rate must lie in [0, 1]")
+    jitter_px: Annotated[float, Range(0, 1e3)] = 0.0  # px
+    flicker_rate: Annotated[float, Range(0, 1)] = 0.0
+    topo_warp: Annotated[float, Range(0, 1e3)] = 0.0
+    affine_jitter: Annotated[float, Range(0, 1e3)] = 0.0
+    joint_spike: Annotated[float, Range(0, 1e3)] = 0.0  # rad
 
 
 def _near(points: np.ndarray, spot: np.ndarray, tol: float) -> list[bool]:

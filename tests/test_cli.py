@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,58 @@ class TestExitCodes:
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 0
 
+    @pytest.mark.parametrize("stage, content, names", [
+        ("label", {"label": {"bin_size": 0}}, ["label.bin_size"]),
+        ("label", {"label": {"bin_size": -0.01}}, ["label.bin_size"]),
+        ("label", {"label": {"bin_size": float("nan")}}, ["label.bin_size"]),
+        ("label", {"label": {"strength_margin": -1}}, ["label.strength_margin"]),
+        ("evaluate", {"cap": 0}, [".cap"]),
+        ("calibrate", {"tracks": {"tau_acc": 0}}, ["tracks.tau_acc"]),
+        ("verify", {"tracks": {"knn_k": 0}}, ["tracks.knn_k"]),
+        ("verify", {"tracks": {"eps": -1}}, ["tracks.eps"]),
+        ("calibrate", {"verifier": {"idm_eps": 0}}, ["verifier.idm_eps"]),
+        ("generate", {"scene": {"object_x": [0.6, 0.3]}}, ["scene.object_x[0]", "object_x[1]"]),
+        ("perturb", {"perturb": {"weak_min": 0.7, "weak_max": 0.3}},
+         ["perturb.weak_min", "weak_max"]),
+        ("perturb", {"perturb": {"offset_cap": 0.001}},
+         ["scene.grasp_tolerance", "perturb.offset_cap"]),
+        ("generate", {"scene": {"min_separation": 5}}, ["scene.min_separation"]),
+        ("generate", {"seed": -1}, [".seed"]),
+        ("generate", {}, [".seed"])],
+        ids=["bin_size-0", "bin_size-negative", "bin_size-nan", "strength_margin-negative",
+             "cap-0", "tau_acc-0", "knn_k-0", "eps-negative", "idm_eps-0", "object_x-swapped",
+             "weak-swapped", "offset_cap-below-grasp_tolerance", "min_separation-5",
+             "seed-negative", "seed-flag-negative"])
+    def test_config_value_out_of_range_is_4(self, workdir, tmp_path, capsys, stage,
+                                            content, names):
+        """A config value out of its declared range, or out of order with
+        another, fails the stage that reads the config and names the key;
+        the last case sets the seed with --seed -1."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(content))
+        preds = tmp_path / "preds.jsonl"
+        _write_preds(workdir / "labeled.jsonl", preds)
+        args = {"generate": ("-n", 2, "-o", tmp_path / "d.jsonl"),
+                "perturb": ("-i", workdir / "demos.jsonl", "-o", tmp_path / "c.jsonl"),
+                "calibrate": ("-i", workdir / "demos.jsonl", "-o", tmp_path / "c.json"),
+                "verify": ("-i", workdir / "cands.jsonl", "--calibration",
+                           workdir / "calib.json", "-o", tmp_path / "r.jsonl"),
+                "label": ("-i", workdir / "retained.jsonl", "-o", tmp_path / "l.jsonl"),
+                "evaluate": ("-i", workdir / "labeled.jsonl", "--predictions", preds)}[stage]
+        seed = ("--seed", -1) if not content else ()
+        assert _run(stage, *args, "--config", cfgfile, *seed) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "Traceback" not in err
+        assert all(name in err for name in names), err
+
+    def test_unknown_endpoint_is_4(self, workdir, tmp_path, capsys):
+        assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                    workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                    "--endpoint", "bogus") == 4
+        assert capsys.readouterr().err.startswith(
+            "validation error: semantic_endpoint 'bogus': want mock, ")
+        assert not (tmp_path / "r.jsonl").exists()
+
 
 def _mutated_candidates(workdir, tmp_path, mutate):
     recs = list(read_records(workdir / "cands.jsonl"))
@@ -489,7 +542,33 @@ class TestMalformedNestedObjects:
         path = _mutated_candidates(workdir, tmp_path, mutate)
         assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
                     "-o", tmp_path / "r.jsonl", "--seed", 11) == 4
-        assert f"validation error: {field}" in capsys.readouterr().err
+        assert f"validation error: meta.scene.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("meta", "scene", "camera", "fx"), 1e300),
+        (("meta", "scene", "camera", "cy"), -1e300),
+        (("meta", "scene", "camera", "position"), [0.45, 0.0, float("nan")]),
+        (("meta", "artifacts", "jitter_px"), 1e300),
+        (("meta", "artifacts", "topo_warp"), 1e300),
+        (("meta", "artifacts", "affine_jitter"), 1e300),
+        (("meta", "artifacts", "flicker_rate"), 1.5),
+        (("meta", "scene", "partial_floor"), 0.8),
+        (("meta", "scene", "seed"), -1),
+        (("spec", "keyframe"), -1)],
+        ids=["fx-1e300", "cy-minus-1e300", "camera-position-nan", "jitter_px-1e300",
+             "topo_warp-1e300", "affine_jitter-1e300", "flicker_rate-1.5",
+             "partial_floor-above-attach_strength", "scene-seed-negative",
+             "keyframe-negative"])
+    def test_out_of_range_value_is_4(self, workdir, tmp_path, capsys, path, value):
+        """A candidate value out of its declared range fails verify, naming
+        its dotted path, before any numpy arithmetic overflows."""
+        cands = _mutated_candidates(workdir, tmp_path, _edit(path, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _run("verify", "-i", cands, "--calibration", workdir / "calib.json",
+                        "-o", tmp_path / "r.jsonl", "--seed", 11) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {'.'.join(path)}"), err
 
     @pytest.mark.parametrize("line", ["[1, 2]", "5", '"abc"', None],
                              ids=["list", "number", "string", "meta-string"])
