@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto distinct exit codes: schema errors (2), transport
-errors (3), validation failures (4).
+errors (3), validation failures (4); a missing or non-file path is 4 too.
+Any other exception, a bare ValueError included, is a bug: exit 1 and a traceback.
 """
 
 

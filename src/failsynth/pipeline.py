@@ -20,9 +20,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import PipelineConfig
-from .core import FailureType, Rollout, decode, detect_keyframes, read_keys
+from .core import FailureType, Range, Rollout, decode, detect_keyframes, read_keys
 from .errors import SchemaError, TransportError, ValidationError
-from .labels import generate_label, parse, serialize, LabelError
+from .labels import generate_label, parse, serialize
 from .metrics import evaluate_dataset
 from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
@@ -40,8 +40,7 @@ from .world import ArtifactSpec, SceneSpec, resimulate, script_success, synthesi
 
 log = logging.getLogger(__name__)
 
-FAILURE_TYPES = (FailureType.translation, FailureType.weak_close,
-                 FailureType.force_open, FailureType.delay_close)
+FAILURE_TYPES = tuple(FailureType)  # seeds use the index: keep the order
 
 
 def _derived_seed(*parts: int) -> int:
@@ -70,6 +69,15 @@ def sample_scene(cfg: PipelineConfig, index: int) -> SceneSpec:
                      seed=_derived_seed(cfg.seed, index))
 
 
+def _manifest(cfg: PipelineConfig, path, **fields) -> dict:
+    """A stage's manifest: fields stamped with the config hash, written to
+    path when one is given."""
+    fields["config_hash"] = cfg.config_hash()
+    if path:
+        write_json(path, fields)
+    return fields
+
+
 def _rollouts(path) -> Iterator[Rollout]:
     """The rollouts of a JSONL file, parsed one at a time."""
     for rec in read_records(path):
@@ -81,11 +89,8 @@ def cmd_generate(cfg: PipelineConfig, n: int, out_path, manifest_path=None) -> d
     write_rollouts(out_path, (script_success(sample_scene(cfg, i), horizon=cfg.horizon,
                                              rollout_id=f"demo-{i:05d}")
                               for i in range(n)))
-    manifest = {"stage": "generate", "count": n, "horizon": cfg.horizon,
-                "seed": cfg.seed, "config_hash": cfg.config_hash()}
-    if manifest_path:
-        write_json(manifest_path, manifest)
-    return manifest
+    return _manifest(cfg, manifest_path, stage="generate", count=n,
+                     horizon=cfg.horizon, seed=cfg.seed)
 
 
 def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
@@ -149,21 +154,19 @@ def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> d
                 yield cand
 
     count = write_rollouts(out_path, candidates())
-    manifest = {"stage": "perturb", "inputs": inputs,
-                "candidates": count, "per_type": per_type,
-                "translation_resamples": resample_events,
-                "config_hash": cfg.config_hash()}
-    if manifest_path:
-        write_json(manifest_path, manifest)
-    return manifest
+    return _manifest(cfg, manifest_path, stage="perturb", inputs=inputs,
+                     candidates=count, per_type=per_type,
+                     translation_resamples=resample_events)
 
 
 def _with_observations(rollout: Rollout) -> Rollout:
     meta = rollout.meta
+    seed = decode(int, meta.get("obs_seed", 0), "meta.obs_seed")
+    if seed < 0:
+        raise ValidationError(f"meta.obs_seed must lie in {Range(0)}, got {seed}")
     return synthesize_observations(
         rollout, decode(SceneSpec, meta.get("scene"), "meta.scene"),
-        decode(ArtifactSpec, meta.get("artifacts", {}), "meta.artifacts"),
-        seed=decode(int, meta.get("obs_seed", 0), "meta.obs_seed"))
+        decode(ArtifactSpec, meta.get("artifacts", {}), "meta.artifacts"), seed=seed)
 
 
 def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
@@ -191,8 +194,7 @@ def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
         stats.add_exceedance(joint_exceedance(demo.joints, joints))
     # mae is the pooled demo error, one pair, so its "mean" is itself
     stats.add(mae_xyz=idm.mae_xyz, mae_rpy=idm.mae_rpy)
-    gt_stats = stats.means()
-    gt_stats.update(demos=len(demos), config_hash=cfg.config_hash())
+    gt_stats = _manifest(cfg, None, **stats.means(), demos=len(demos))
     save_calibrations(out_path, idm, joints, extra=gt_stats)
     return gt_stats
 
@@ -272,21 +274,13 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
         retained = write_records(out_path, retained_records(client))
     finally:
         client.close()
-    manifest = {
-        "stage": "verify",
-        "generated": generated,
-        "retained": retained,
-        "rejected": rejected,
-        "quarantined": quarantined,
-        "retention_rate": (retained / generated) if generated else None,
-        "rejections": counts,
-        "stats": {"generated": stats.means(), "ground_truth": gt_stats},
-        "config_hash": cfg.config_hash(),
-    }
+    manifest = dict(generated=generated, retained=retained, rejected=rejected,
+                    quarantined=quarantined)
     _check_accounting(manifest)
-    if manifest_path:
-        write_json(manifest_path, manifest)
-    return manifest
+    return _manifest(cfg, manifest_path, stage="verify", **manifest,
+                     retention_rate=(retained / generated) if generated else None,
+                     rejections=counts,
+                     stats={"generated": stats.means(), "ground_truth": gt_stats})
 
 
 def cmd_label(cfg: PipelineConfig, retained_path, out_path,
@@ -308,11 +302,8 @@ def cmd_label(cfg: PipelineConfig, retained_path, out_path,
                 raise SchemaError(f"label round-trip failed for {rec['id']}")
             yield with_member(rec, "label", text)
 
-    manifest = {"stage": "label", "count": write_records(out_path, labeled()),
-                "config_hash": cfg.config_hash()}
-    if manifest_path:
-        write_json(manifest_path, manifest)
-    return manifest
+    return _manifest(cfg, manifest_path, stage="label",
+                     count=write_records(out_path, labeled()))
 
 
 def recover_record(cfg: PipelineConfig, rec: dict,
@@ -328,7 +319,7 @@ def recover_record(cfg: PipelineConfig, rec: dict,
         label = parse(text)
         keyframe = cand.spec.keyframe if cand.spec is not None else None
         prims = map_to_primitives(label, cfg.label.bin_size, keyframe=keyframe)
-    except (LabelError, SchemaError, ValidationError) as exc:
+    except (SchemaError, ValidationError) as exc:
         entry.update(recovered=False, error=f"{type(exc).__name__}: {exc}",
                      primitives=[])
         return entry
@@ -365,11 +356,8 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
             raise ValidationError("no cases to recover")
 
     cases = write_records(out_path, entries())
-    manifest = {"stage": "recover", "cases": cases, "recovered": recovered,
-                "recovery_rate": recovered / cases, "config_hash": cfg.config_hash()}
-    if manifest_path:
-        write_json(manifest_path, manifest)
-    return manifest
+    return _manifest(cfg, manifest_path, stage="recover", cases=cases,
+                     recovered=recovered, recovery_rate=recovered / cases)
 
 
 def _load_predictions(path) -> dict:
@@ -396,8 +384,5 @@ def cmd_evaluate(cfg: PipelineConfig, labeled_path, predictions_path,
         pairs.append((rec_id, label, preds[rec_id]))
     if missing:
         raise SchemaError(f"prediction file missing ids: {missing}")
-    report = evaluate_dataset(pairs, cap=cfg.cap, delta_k=cfg.delta_k)
-    report["config_hash"] = cfg.config_hash()
-    if report_path:
-        write_json(report_path, report)
-    return report
+    return _manifest(cfg, report_path,
+                     **evaluate_dataset(pairs, cap=cfg.cap, delta_k=cfg.delta_k))

@@ -35,10 +35,25 @@ from .perturb import PerturbationSpec
 
 # what json.dumps(..., separators=(",", ":"), allow_nan=False) builds per call
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_PRETTY = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
+
+def _strict(encode, value):
+    """encode(value), where json's refusal of a NaN or an infinity is a
+    ValidationError."""
+    try:
+        return encode(value)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def dumps_record(record) -> str:
-    return _ENCODER.encode(record)
+    return _strict(_ENCODER.encode, record)
+
+
+def dumps_json(payload) -> str:
+    """Indented, key-sorted JSON of a manifest, report or calibration file."""
+    return _strict(_PRETTY.encode, payload)
 
 
 # "-" and the digits read as "0": see _no_long_integer
@@ -230,19 +245,31 @@ def _step_rows(rows, kind: str) -> np.ndarray:
         raise SchemaError(f"malformed {kind} rows: {exc}") from exc
 
 
+def _number_array(rows, name: str) -> np.ndarray:
+    """np.array of JSON rows of numbers; ragged rows or a non-number are a SchemaError."""
+    try:
+        a = np.array(rows)
+        if a.dtype.kind in "biuf":
+            return a
+    except ValueError:  # ragged rows
+        pass
+    raise SchemaError(f"{name} must be equal-length rows of numbers")
+
+
 def rollout_from_record(rec: dict) -> Rollout:
     decode(dict, rec, "rollout record")
+    joints = rec.get("joints")
     try:
         tracks = None
         if rec.get("tracks") is not None:
-            tracks = TrackSet(points=np.array(rec["tracks"]["points"], dtype=float),
-                              masks=np.array(rec["tracks"]["masks"], dtype=bool))
+            tracks = TrackSet(points=_number_array(rec["tracks"]["points"], "tracks.points"),
+                              masks=_number_array(rec["tracks"]["masks"], "tracks.masks"))
         return Rollout(
             id=rec["id"],
             task=rec["task"],
             states=_step_rows(rec["states"], "state"),
             actions=_step_rows(rec["actions"], "action"),
-            joints=None if rec.get("joints") is None else JointTrace(np.array(rec["joints"])),
+            joints=None if joints is None else JointTrace(_number_array(joints, "joints")),
             tracks=tracks,
             spec=decode(Optional[PerturbationSpec], rec.get("spec"), "spec"),
             outcome=rec.get("outcome"),
@@ -345,8 +372,10 @@ def write_records(path, records: Iterable) -> int:
 
 
 def write_json(path, payload: dict) -> None:
+    """dumps_json(payload) and a newline, written piece by piece: an
+    evaluation report lists every record, and is never held as one string."""
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        _strict(fh.writelines, _PRETTY.iterencode(payload))
         fh.write("\n")
 
 

@@ -232,6 +232,16 @@ class TestExitCodes:
                     "--seed", 11) == 4
         assert not out.exists()
 
+    def test_bare_value_error_is_a_bug(self, workdir, tmp_path, monkeypatch):
+        """Only the package's errors map to exit codes: a bare ValueError
+        inside a stage propagates out of main, to exit 1 with its traceback."""
+        def broken(*args, **kwargs):
+            raise ValueError("a bug")
+        monkeypatch.setattr(pipeline, "generate_label", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            _run("label", "-i", workdir / "retained.jsonl", "-o", tmp_path / "l.jsonl")
+        assert not (tmp_path / "l.jsonl").exists()
+
     @pytest.mark.parametrize("spec", ["noisy:1", "noisy:a,b", "noisy:-1,0", "noisy:nan,0"])
     def test_bad_predictor_spec_is_4(self, workdir, tmp_path, capsys, spec):
         """A malformed, negative or non-finite verifier.predictor is a
@@ -478,6 +488,24 @@ class TestMalformedRecords:
 
 
 DELETE = object()
+JOINTS = [[0.0] * 7] * 3
+POINTS = [[[1.0, 2.0]] * 3] * 2
+MASKS = [[1] * 3] * 2
+
+# (id, edit, member named in the message): ragged rows and strings in an array member
+ARRAY_FAULTS = [
+    ("joints-ragged", lambda r: r.update(joints=JOINTS + [[0.0] * 6]), "joints"),
+    ("joints-string", lambda r: r.update(joints=JOINTS + [["abc"] * 7]), "joints"),
+    ("joints-number-string", lambda r: r.update(joints=JOINTS + [["0.5"] * 7]), "joints"),
+    ("points-ragged", lambda r: r.update(tracks={"points": POINTS + [[[1.0, 2.0]] * 2],
+                                                 "masks": MASKS}), "tracks.points"),
+    ("points-string", lambda r: r.update(tracks={"points": POINTS + [[["a", 2.0]] * 3],
+                                                 "masks": MASKS}), "tracks.points"),
+    ("masks-ragged", lambda r: r.update(tracks={"points": POINTS,
+                                                "masks": MASKS[:1] + [[1] * 2]}), "tracks.masks"),
+    ("masks-string", lambda r: r.update(tracks={"points": POINTS,
+                                                "masks": MASKS[:1] + [["abc"] * 3]}), "tracks.masks"),
+]
 
 
 def _edit(path, value):
@@ -524,6 +552,7 @@ class TestMalformedNestedObjects:
                      id="camera-key-missing"),
         pytest.param(_edit(("meta", "scene", "camera"), DELETE), 0,
                      id="camera-missing"),
+        *[pytest.param(edit, 2, id=name) for name, edit, _ in ARRAY_FAULTS],
     ])
     def test_verify(self, workdir, tmp_path, capsys, mutate, code):
         path = _mutated_candidates(workdir, tmp_path, mutate)
@@ -554,11 +583,12 @@ class TestMalformedNestedObjects:
         (("meta", "artifacts", "flicker_rate"), 1.5),
         (("meta", "scene", "partial_floor"), 0.8),
         (("meta", "scene", "seed"), -1),
+        (("meta", "obs_seed"), -1),
         (("spec", "keyframe"), -1)],
         ids=["fx-1e300", "cy-minus-1e300", "camera-position-nan", "jitter_px-1e300",
              "topo_warp-1e300", "affine_jitter-1e300", "flicker_rate-1.5",
              "partial_floor-above-attach_strength", "scene-seed-negative",
-             "keyframe-negative"])
+             "obs_seed-negative", "keyframe-negative"])
     def test_out_of_range_value_is_4(self, workdir, tmp_path, capsys, path, value):
         """A candidate value out of its declared range fails verify, naming
         its dotted path, before any numpy arithmetic overflows."""
@@ -616,17 +646,20 @@ class TestMalformedNestedObjects:
                     "--predictions", tmp_path / "preds.jsonl") == 2
         assert "schema error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        lambda rec: rec.pop("label"), lambda rec: rec.update(label=5),
-        lambda rec: rec["meta"].pop("scene")],
-        ids=["without-label", "label-number", "meta-without-scene"])
-    def test_recover(self, workdir, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit, member", [
+        pytest.param(lambda rec: rec.pop("label"), "label", id="without-label"),
+        pytest.param(lambda rec: rec.update(label=5), "label", id="label-number"),
+        pytest.param(lambda rec: rec["meta"].pop("scene"), "meta.scene",
+                     id="meta-without-scene"),
+        *[pytest.param(edit, member, id=name) for name, edit, member in ARRAY_FAULTS]])
+    def test_recover(self, workdir, tmp_path, capsys, edit, member):
         labeled = list(read_records(workdir / "labeled.jsonl"))
         edit(labeled[0])
         path = tmp_path / "labeled.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in labeled))
         assert _run("recover", "-i", path, "-o", tmp_path / "r.jsonl") == 2
-        assert "schema error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and member in err, err
 
 
 class TestQuarantine:

@@ -684,19 +684,46 @@ def _nested_mutation(draw, rec):
             obj[key] = value()
 
 
+def _set_meta(key, value):
+    def edit(rec):
+        if isinstance(rec.get("meta"), dict):
+            rec["meta"][key] = value
+    return edit
+
+
+def _set_tracks(points=((0.0, 0.0),), masks=(1,)):
+    return lambda rec: rec.update(tracks={"points": [list(points)], "masks": [list(masks)]})
+
+
+# Edits of the array members a rollout record holds, and of its observation seed.
+_MEMBER_EDITS = (
+    lambda rec: rec.update(joints=[[0.0] * 7, [0.0] * 6]),
+    lambda rec: rec.update(joints=[[0.0] * 7, ["abc"] * 7]),
+    lambda rec: rec.update(joints=[[0.0] * 7, ["0.5"] * 7]),
+    _set_tracks(points=([0.0, 0.0], [0.0])),
+    _set_tracks(points=([0.0, "a"],)),
+    _set_tracks(masks=(1, [0])),
+    _set_tracks(masks=("abc",)),
+    _set_meta("obs_seed", -1),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_nested_objects_never_give_a_traceback(labeled_inputs, data):
-    """verify, label and recover on a record whose spec, meta, scene, camera
-    or artifacts were edited exit 0, 2 or 4, without a traceback."""
+    """verify, label, perturb and recover on a record whose spec, meta, scene,
+    camera or artifacts were edited, or whose joints, tracks or meta.obs_seed
+    hold ragged rows, strings or -1, exit 0, 2 or 4, without a traceback."""
     d, recs = labeled_inputs
     recs = copy.deepcopy(recs)
     which = data.draw(st.integers(0, len(recs) - 1))
     for _ in range(data.draw(st.integers(1, 3))):
         data.draw(_nested_mutation(recs[which]))
+    if data.draw(st.booleans()):
+        data.draw(st.sampled_from(_MEMBER_EDITS))(recs[which])
     path = d / "in.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in recs))
-    stage = data.draw(st.sampled_from(["verify", "label", "recover"]))
+    stage = data.draw(st.sampled_from(["verify", "label", "perturb", "recover"]))
     argv = [stage, "-i", str(path), "-o", str(d / "out.jsonl"), "--seed", "5"]
     if stage == "verify":
         argv += ["--calibration", str(d / "calib.json")]
