@@ -1,15 +1,14 @@
 """Structured fix labels: deterministic generation, serialization, parsing.
 
-Serialized form is a semicolon-joined KEY=VALUE prefix in the fixed order
-RESULT, TYPE, STAGE, FIX_DIR_X, FIX_N_X, FIX_DIR_Y, FIX_N_Y, CLOSE_AT,
-STRENGTH, followed by "; " and a templated natural-language summary.
+Serialized form is a semicolon-joined KEY=VALUE prefix in the order of the
+key table _FIELDS, followed by "; " and a templated natural-language summary.
 Absent fields are omitted; parse(serialize(label)) is the identity and the
 byte form is stable across runs and hosts.
 
 Parse errors are structured:
   MissingFieldError    - RESULT (or a type-required field) absent
   DomainError          - value outside a closed enum (RESULT/TYPE/STAGE/DIR)
-  NumericFieldError    - FIX_N_* / CLOSE_AT / STRENGTH not a number in range
+  NumericFieldError    - an integer or number field malformed or out of range
   SchemaViolationError - contradictory fields (e.g. SUCCESS with fixes),
                          duplicate keys, or a malformed KEY=VALUE token
   UnknownKeyError      - an unrecognized key (reported, never dropped)
@@ -52,8 +51,6 @@ class UnknownKeyError(LabelError):
 
 STAGES = ("pre_grasp", "grasp", "transport", "place")
 DIRS = ("+x", "-x", "+y", "-y")
-FIELD_ORDER = ("RESULT", "TYPE", "STAGE", "FIX_DIR_X", "FIX_N_X", "FIX_DIR_Y",
-               "FIX_N_Y", "CLOSE_AT", "STRENGTH")
 GRIPPER_TYPES = (FailureType.delay_close, FailureType.weak_close,
                  FailureType.force_open)
 
@@ -83,13 +80,7 @@ class FixLabel:
 
     def structured_equal(self, other: "FixLabel") -> bool:
         """Equality on the structured fields, ignoring the summary."""
-        a = (self.result, self.failure_type, self.stage, self.fix_dir_x,
-             self.fix_n_x, self.fix_dir_y, self.fix_n_y, self.close_at,
-             self.strength)
-        b = (other.result, other.failure_type, other.stage, other.fix_dir_x,
-             other.fix_n_x, other.fix_dir_y, other.fix_n_y, other.close_at,
-             other.strength)
-        return a == b
+        return all(getattr(self, f) == getattr(other, f) for f, _, _ in _FIELDS.values())
 
 
 def _validate_label(label: FixLabel) -> None:
@@ -135,6 +126,51 @@ def _validate_label(label: FixLabel) -> None:
 def _fmt_float(v: float) -> str:
     # repr gives the shortest round-trippable decimal; stable across hosts
     return repr(float(v))
+
+
+def _choice(options: tuple, message: str, cast=str):
+    """Reader of a token in options; message names one outside them."""
+    def read(key: str, raw: str):
+        if raw not in options:
+            raise DomainError(message.format(key=key, raw=raw, options=options))
+        return cast(raw)
+    return read
+
+
+def _integer(key: str, raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise NumericFieldError(f"{key} must be an integer, got {raw!r}") from None
+    if value >= 2 ** 53:  # where n * bin_size and |a - b| / cap stay defined
+        raise NumericFieldError(f"{key} must be an integer below 2**53")
+    return value
+
+
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise NumericFieldError(f"{key} must be a number, got {raw!r}") from None
+
+
+_DIR = _choice(DIRS, "{key} must be one of {options}, got {raw!r}")
+# KEY -> (FixLabel field, reader of the value text, writer of the value), in
+# serialization order, which is also the order in which parse checks them.
+_FIELDS = {
+    "RESULT": ("result", _choice(("SUCCESS", "FAIL"),
+                                 "{key} must be SUCCESS or FAIL, got {raw!r}"), str),
+    "TYPE": ("failure_type", _choice(tuple(FailureType), "{key} {raw!r} outside the "
+                                     "failure taxonomy", FailureType), lambda t: t.value),
+    "STAGE": ("stage", _choice(STAGES, "{key} {raw!r} outside {options}"), str),
+    "FIX_DIR_X": ("fix_dir_x", _DIR, str),
+    "FIX_N_X": ("fix_n_x", _integer, str),
+    "FIX_DIR_Y": ("fix_dir_y", _DIR, str),
+    "FIX_N_Y": ("fix_n_y", _integer, str),
+    "CLOSE_AT": ("close_at", _integer, str),
+    "STRENGTH": ("strength", _number, _fmt_float),
+}
+FIELD_ORDER = tuple(_FIELDS)
 
 
 _SUMMARY_TEMPLATES = {
@@ -190,18 +226,8 @@ def generate_label(spec, bin_size: float = 0.01, attach_strength: float = 0.7,
 
 def serialize(label: FixLabel) -> str:
     """Byte-stable KEY=VALUE form; absent fields omitted, summary appended."""
-    values = {
-        "RESULT": label.result,
-        "TYPE": label.failure_type.value if label.failure_type else None,
-        "STAGE": label.stage,
-        "FIX_DIR_X": label.fix_dir_x,
-        "FIX_N_X": None if label.fix_n_x is None else str(label.fix_n_x),
-        "FIX_DIR_Y": label.fix_dir_y,
-        "FIX_N_Y": None if label.fix_n_y is None else str(label.fix_n_y),
-        "CLOSE_AT": None if label.close_at is None else str(label.close_at),
-        "STRENGTH": None if label.strength is None else _fmt_float(label.strength),
-    }
-    parts = [f"{k}={values[k]}" for k in FIELD_ORDER if values[k] is not None]
+    parts = [f"{key}={write(value)}" for key, (field, _, write) in _FIELDS.items()
+             if (value := getattr(label, field)) is not None]
     out = "; ".join(parts)
     if label.summary:
         out += "; " + label.summary
@@ -224,62 +250,14 @@ def parse(text: str) -> FixLabel:
         if not m:
             break
         key = m.group(1).upper()
-        if key not in FIELD_ORDER:
+        if key not in _FIELDS:
             raise UnknownKeyError(f"unknown key {m.group(1)!r}")
         if key in fields:
             raise SchemaViolationError(f"duplicate key {key}")
         fields[key] = m.group(2)
         remaining = remaining[m.end():]
-    summary = remaining.strip()
-
     if "RESULT" not in fields:
         raise MissingFieldError("missing RESULT field")
-    result = fields.pop("RESULT")
-    if result not in ("SUCCESS", "FAIL"):
-        raise DomainError(f"RESULT must be SUCCESS or FAIL, got {result!r}")
-
-    ftype = None
-    if "TYPE" in fields:
-        raw = fields.pop("TYPE")
-        try:
-            ftype = FailureType(raw)
-        except ValueError:
-            raise DomainError(f"TYPE {raw!r} outside the failure taxonomy") from None
-
-    stage = fields.pop("STAGE", None)
-    if stage is not None and stage not in STAGES:
-        raise DomainError(f"STAGE {stage!r} outside {STAGES}")
-
-    def _int_field(key: str) -> Optional[int]:
-        if key not in fields:
-            return None
-        raw = fields.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise NumericFieldError(f"{key} must be an integer, got {raw!r}") from None
-
-    def _dir_field(key: str) -> Optional[str]:
-        if key not in fields:
-            return None
-        raw = fields.pop(key)
-        if raw not in DIRS:
-            raise DomainError(f"{key} must be one of {DIRS}, got {raw!r}")
-        return raw
-
-    dir_x = _dir_field("FIX_DIR_X")
-    n_x = _int_field("FIX_N_X")
-    dir_y = _dir_field("FIX_DIR_Y")
-    n_y = _int_field("FIX_N_Y")
-    close_at = _int_field("CLOSE_AT")
-    strength = None
-    if "STRENGTH" in fields:
-        raw = fields.pop("STRENGTH")
-        try:
-            strength = float(raw)
-        except ValueError:
-            raise NumericFieldError(f"STRENGTH must be a number, got {raw!r}") from None
-
-    return FixLabel(result=result, failure_type=ftype, stage=stage,
-                    fix_dir_x=dir_x, fix_n_x=n_x, fix_dir_y=dir_y, fix_n_y=n_y,
-                    close_at=close_at, strength=strength, summary=summary)
+    values = {field: read(key, fields[key])
+              for key, (field, read, _) in _FIELDS.items() if key in fields}
+    return FixLabel(**values, summary=remaining.strip())

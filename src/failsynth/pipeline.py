@@ -319,12 +319,12 @@ def recover_record(cfg: PipelineConfig, rec: dict,
         label = parse(text)
         keyframe = cand.spec.keyframe if cand.spec is not None else None
         prims = map_to_primitives(label, cfg.label.bin_size, keyframe=keyframe)
+        _, ok = replay_with_recovery(scene, cand.actions, prims,
+                                     ramp_window=cfg.perturb.window)
     except (SchemaError, ValidationError) as exc:
         entry.update(recovered=False, error=f"{type(exc).__name__}: {exc}",
                      primitives=[])
         return entry
-    _, ok = replay_with_recovery(scene, cand.actions, prims,
-                                 ramp_window=cfg.perturb.window)
     entry.update(recovered=bool(ok), error=None,
                  primitives=[{"kind": type(p).__name__, **vars(p)} for p in prims])
     return entry

@@ -8,12 +8,17 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import failsynth
 from failsynth import pipeline
 from failsynth.cli import main
+from failsynth.config import PipelineConfig
+from failsynth.core import FailureType
 from failsynth.errors import ValidationError
 from failsynth.rollout_io import read_records
+
+from test_labels import label_texts
 
 
 def _run(*argv):
@@ -129,6 +134,44 @@ class TestPipeline:
         assert m["recovery_rate"] == 0.0
         entries = list(read_records(out))
         assert all(e["error"] for e in entries)
+
+
+@pytest.fixture(scope="module")
+def four_cases(workdir):
+    """The first four labeled cases, one of each failure type."""
+    path = workdir / "four_cases.jsonl"
+    recs = list(read_records(workdir / "labeled.jsonl"))[:4]
+    assert {rec["id"].split("/")[1] for rec in recs} == {ft.value for ft in FailureType}
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return path, recs
+
+
+class TestPredictionTexts:
+    @settings(max_examples=200, deadline=None)
+    @given(text=label_texts(max_int=10 ** 401), case=st.sampled_from(range(4)))
+    @example(text="RESULT=FAIL; TYPE=weak_close; STAGE=grasp; CLOSE_AT=58; STRENGTH=0.5",
+             case=1)
+    @example(text=("RESULT=FAIL; TYPE=translation; STAGE=pre_grasp; FIX_DIR_X=+x; "
+                   f"FIX_N_X={10 ** 400}; FIX_DIR_Y=-y; FIX_N_Y=0"), case=0)
+    def test_recover_and_evaluate_give_one_entry_per_id(self, workdir, four_cases,
+                                                       text, case):
+        """No prediction text fails recover --predictions or evaluate: each
+        gives one entry per id, and a case recover cannot replay is an entry
+        with its error and no primitives."""
+        labeled, recs = four_cases
+        texts = [rec["label"] for rec in recs]
+        texts[case] = text
+        preds = workdir / "prop_preds.jsonl"
+        preds.write_text("".join(json.dumps({"id": rec["id"], "pred_text": t}) + "\n"
+                                 for rec, t in zip(recs, texts)))
+        ids = [rec["id"] for rec in recs]
+        cfg = PipelineConfig(seed=11)
+        pipeline.cmd_recover(cfg, labeled, workdir / "prop_rec.jsonl", predictions_path=preds)
+        entries = list(read_records(workdir / "prop_rec.jsonl"))
+        assert [e["id"] for e in entries] == ids
+        assert all((e["error"] is None) == bool(e["primitives"]) for e in entries)
+        report = pipeline.cmd_evaluate(cfg, labeled, preds)
+        assert [r["id"] for r in report["records"]] == ids
 
 
 class TestDeterminism:
@@ -625,16 +668,27 @@ class TestMalformedNestedObjects:
             code = _run("label", "-i", path, "-o", tmp_path / "l.jsonl")
             assert code == (2 if keep == {"weak_close"} else 0)
 
-    @pytest.mark.parametrize("edit_labeled, edit_pred", [
-        (lambda rec: rec.pop("label"), None),
-        (lambda rec: rec.update(label=5), None),
-        (lambda rec: rec.update(id=["x"]), None),
-        (None, lambda pred: 5),
-        (None, lambda pred: dict(pred, pred_text=5)),
-        (None, lambda pred: {"pred_text": pred["pred_text"]})],
+    @pytest.mark.parametrize("edit_labeled, edit_pred, error", [
+        (lambda rec: rec.pop("label"), None, None),
+        (lambda rec: rec.update(label=5), None, None),
+        (lambda rec: rec.update(id=["x"]), None, None),
+        (None, lambda pred: 5, None),
+        (None, lambda pred: dict(pred, pred_text=5), None),
+        (None, lambda pred: {"pred_text": pred["pred_text"]}, None),
+        (None, lambda pred: dict(pred, pred_text=(
+            "RESULT=FAIL; TYPE=delay_close; STAGE=grasp; CLOSE_AT=999; STRENGTH=1.0")),
+         "ValidationError: primitive anchor 999 outside horizon 60"),
+        (None, lambda pred: dict(pred, pred_text=(
+            "RESULT=FAIL; TYPE=translation; STAGE=pre_grasp; FIX_DIR_X=-x; "
+            f"FIX_N_X={'9' * 401}; FIX_DIR_Y=+y; FIX_N_Y=2")),
+         "NumericFieldError: FIX_N_X must be an integer below 2**53")],
         ids=["labeled-without-label", "label-number", "id-list", "prediction-number",
-             "pred_text-number", "prediction-without-id"])
-    def test_evaluate(self, workdir, tmp_path, capsys, edit_labeled, edit_pred):
+             "pred_text-number", "prediction-without-id", "close_at-999",
+             "fix_n_x-401-digits"])
+    def test_evaluate(self, workdir, tmp_path, capsys, edit_labeled, edit_pred, error):
+        """A malformed labeled or prediction file is exit 2 (error None). A
+        prediction text is model output: evaluate and recover --predictions
+        exit 0 on any, and recover reports the case's error in its entry."""
         labeled = list(read_records(workdir / "labeled.jsonl"))
         preds = [{"id": rec["id"], "pred_text": rec["label"]} for rec in labeled]
         (edit_labeled or (lambda rec: None))(labeled[0])
@@ -642,9 +696,15 @@ class TestMalformedNestedObjects:
             preds[0] = edit_pred(preds[0])
         for name, recs in (("labeled.jsonl", labeled), ("preds.jsonl", preds)):
             (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in recs))
-        assert _run("evaluate", "-i", tmp_path / "labeled.jsonl",
-                    "--predictions", tmp_path / "preds.jsonl") == 2
-        assert "schema error" in capsys.readouterr().err
+        files = ("-i", tmp_path / "labeled.jsonl", "--predictions", tmp_path / "preds.jsonl")
+        if error is None:
+            assert _run("evaluate", *files) == 2
+            assert "schema error" in capsys.readouterr().err
+            return
+        assert _run("evaluate", *files) == 0
+        assert _run("recover", *files, "-o", tmp_path / "r.jsonl") == 0
+        entry = next(read_records(tmp_path / "r.jsonl"))
+        assert (entry["recovered"], entry["error"], entry["primitives"]) == (False, error, [])
 
     @pytest.mark.parametrize("edit, member", [
         pytest.param(lambda rec: rec.pop("label"), "label", id="without-label"),

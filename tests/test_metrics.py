@@ -289,6 +289,15 @@ class TestEvaluate:
         assert rec["parse_error"] is not None
         assert rec["acc"] == 0.0
 
+    def test_integer_at_2_53_scores_as_a_parse_error(self):
+        """A step count the grammar bounds is scored as malformed text is,
+        with the RESULT token fallback."""
+        for n in (2 ** 53, 10 ** 400):
+            rec = evaluate_record("a", self.GT, self.GT.replace("FIX_N_X=2", f"FIX_N_X={n}"))
+            assert rec["parse_error"] == ("NumericFieldError: FIX_N_X must be an "
+                                          "integer below 2**53")
+            assert (rec["acc"], rec["fuzzy"], rec["bin_correct"]) == (0.0, 0.0, True)
+
     def test_dataset_aggregation(self):
         pairs = [("a", self.GT, self.GT),
                  ("b", "RESULT=SUCCESS; done", "RESULT=SUCCESS; done")]
