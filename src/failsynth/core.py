@@ -107,6 +107,12 @@ class Range(NamedTuple):
         return (f"{'[('[self.lo_open or self.lo == -math.inf]}{self.lo}, "
                 f"{self.hi}{'])'[self.hi_open or self.hi == math.inf]}")
 
+    def closed(self) -> tuple[float, float]:
+        """(lo, hi): v lies in the range exactly when lo <= v <= hi."""
+        inf = math.inf
+        return (math.nextafter(self.lo, inf) if self.lo_open or self.lo == -inf else self.lo,
+                math.nextafter(self.hi, -inf) if self.hi_open or self.hi == inf else self.hi)
+
 
 def check_order(a: str, u, b: str, v, strict=False, error=ValidationError) -> None:
     """The cross-field rule u <= v (u < v if strict) on fields a and b."""
@@ -118,11 +124,9 @@ def _bounds(tp, name: str, index=None, size=None) -> list:
     """(field, index, size, lo, hi, Range) per number the annotation tp bounds, where
     index is None, a position in a tuple of size numbers, or ... for each dict value,
     and lo <= v <= hi exactly when v lies in the Range (open ends move inward)."""
-    origin, args, inf = typing.get_origin(tp), typing.get_args(tp), math.inf
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is Annotated:
-        return [(name, index, size,
-                 math.nextafter(r.lo, inf) if r.lo_open or r.lo == -inf else r.lo,
-                 math.nextafter(r.hi, -inf) if r.hi_open or r.hi == inf else r.hi, r)
+        return [(name, index, size, *r.closed(), r)
                 for r in tp.__metadata__ if isinstance(r, Range)]
     if origin is tuple and args[-1] is not ...:
         return [b for i, t in enumerate(args) for b in _bounds(t, name, i, len(args))]
@@ -234,29 +238,38 @@ class FailureType(str, Enum):
     delay_close = "delay_close"
 
 
-# Column order of the two per-step arrays a Rollout holds.
-STATE_COLUMNS = POSE_FIELDS + ("gripper",)
-ACTION_COLUMNS = DELTA_FIELDS + ("gripper_cmd",)
+# Column order and range of a Rollout's per-step arrays: meters and radians, far
+# beyond a desk arm and from overflow; a gripper command is 1 open, 0 closed.
+_FAR = Range(-1e3, 1e3)
+STATE_COLUMNS = {**dict.fromkeys(POSE_FIELDS, _FAR), "gripper": Range(0, 1)}
+ACTION_COLUMNS = {**dict.fromkeys(DELTA_FIELDS, _FAR), "gripper_cmd": Range(0, 1)}
 GRIPPER = 6  # column of the gripper state / command in both arrays
 _COLUMNS = {"state": STATE_COLUMNS, "action": ACTION_COLUMNS}
+_LIMITS = {kind: np.array([r.closed() for r in columns.values()]).T.copy()
+           for kind, columns in _COLUMNS.items()}  # (lowest, highest) per column
+
+
+def check_steps(a: np.ndarray, kind: str) -> None:
+    """Raise ValidationError unless every value of the (n, 7) float array a of
+    "state" or "action" rows is finite and lies in its column's range."""
+    lo, hi = _LIMITS[kind]
+    inside = (a >= lo) & (a <= hi)
+    if not inside.all():
+        if not np.isfinite(a).all():
+            raise ValidationError(f"non-finite {kind} field")
+        i, j = np.argwhere(~inside)[0]
+        name, r = list(_COLUMNS[kind].items())[j]
+        raise ValidationError(f"{kind} {name} must lie in {r}, got {float(a[i, j])!r}")
 
 
 def step_array(rows, kind: str) -> np.ndarray:
-    """Read-only float64 copy of per-step "state" or "action" rows, shape (n, 7).
-
-    Every value must be finite and the gripper column (a unitless command:
-    1 = fully open, 0 = fully closed) must lie in [0, 1].
-    """
+    """Read-only float64 copy of per-step "state" or "action" rows, shape (n, 7),
+    checked by check_steps."""
     columns = _COLUMNS[kind]
     a = np.array(rows, dtype=float)
     if a.ndim != 2 or a.shape[1] != len(columns):
         raise ValidationError(f"{kind} rows must be (n, {len(columns)}), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"non-finite {kind} field")
-    g = a[:, GRIPPER]
-    bad = (g < 0.0) | (g > 1.0)
-    if bad.any():
-        raise ValidationError(f"{columns[GRIPPER]} {g[bad][0]} outside [0, 1]")
+    check_steps(a, kind)
     a.flags.writeable = False
     return a
 
@@ -353,6 +366,19 @@ class Rollout:
     def __post_init__(self):
         object.__setattr__(self, "states", step_array(self.states, "state"))
         object.__setattr__(self, "actions", step_array(self.actions, "action"))
+        self._check_lengths()
+
+    @classmethod
+    def _checked(cls, **fields) -> Rollout:
+        """Rollout(**fields) for read-only states and actions that step_array or
+        _simulate has just checked: they are not copied or checked again."""
+        ro = object.__new__(cls)
+        vars(ro).update({"joints": None, "tracks": None, "spec": None,
+                         "outcome": None, "meta": {}, **fields})
+        ro._check_lengths()
+        return ro
+
+    def _check_lengths(self) -> None:
         if len(self.states) != len(self.actions) + 1:
             raise ValidationError(
                 f"len(states)={len(self.states)} must equal len(actions)+1={len(self.actions) + 1}")

@@ -14,7 +14,6 @@ atomically, so a stage that fails leaves no output behind.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -131,11 +130,10 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
                                            offsets=(ox, oy))
     cand = resimulate(scene, actions, rollout_id=f"{rollout.id}/{failure_type.value}",
                       task=rollout.task)
-    meta = dict(cand.meta)
-    meta["source_id"] = rollout.id
-    meta["obs_seed"] = _derived_seed(cfg.seed, index, type_idx, 17)
-    meta["artifacts"] = artifacts.to_dict()
-    return replace(cand, spec=spec, meta=meta), resamples
+    meta = {**cand.meta, "source_id": rollout.id,
+            "obs_seed": _derived_seed(cfg.seed, index, type_idx, 17),
+            "artifacts": artifacts.to_dict()}
+    return Rollout._checked(**{**vars(cand), "spec": spec, "meta": meta}), resamples
 
 
 def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> dict:
@@ -180,7 +178,7 @@ def cmd_calibrate(cfg: PipelineConfig, successes_path, out_path) -> dict:
     for ro in _rollouts(successes_path):
         demo = _with_observations(ro)
         stats.add_scores(score_tracks(demo.tracks, cfg.tracks))
-        demos.append(replace(demo, tracks=None))
+        demos.append(Rollout._checked(**{**vars(demo), "tracks": None}))
     if not demos:
         raise ValidationError("cannot calibrate on an empty demo file")
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)

@@ -219,9 +219,9 @@ def _step_rows(rows, kind: str) -> np.ndarray:
     """Validated (n, 7) array of JSON "state" or "action" rows (see step_array).
 
     Rows that are not lists of seven numbers are a SchemaError. Faults are
-    reported in the order a row-by-row, field-by-field reader meets them, so
-    a record holding both a schema fault and a bad value (non-finite, or a
-    gripper outside [0, 1], a ValidationError) reports whichever comes first.
+    reported in the order a row-by-row reader meets them, so a record holding
+    both a schema fault and a bad value (non-finite, or outside its column's
+    range, a ValidationError) reports whichever comes first.
     """
     try:
         a = np.array(rows)
@@ -238,7 +238,7 @@ def _step_rows(rows, kind: str) -> np.ndarray:
                     raise SchemaError(f"{kind} value is not a number: {v!r}")
                 if not math.isfinite(v):
                     raise ValidationError(f"non-finite {kind} field")
-            step_array([row], kind)  # the gripper range
+            step_array([row], kind)  # the column ranges
         # zero rows are left to the rollout's length check, after the other fields
         return step_array(np.array(list(rows), dtype=float).reshape(-1, 7), kind)
     except (TypeError, OverflowError) as exc:
@@ -264,7 +264,7 @@ def rollout_from_record(rec: dict) -> Rollout:
         if rec.get("tracks") is not None:
             tracks = TrackSet(points=_number_array(rec["tracks"]["points"], "tracks.points"),
                               masks=_number_array(rec["tracks"]["masks"], "tracks.masks"))
-        return Rollout(
+        return Rollout._checked(
             id=rec["id"],
             task=rec["task"],
             states=_step_rows(rec["states"], "state"),

@@ -12,14 +12,16 @@ kinematic signals only.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import field, replace
+import struct
+from dataclasses import field
 from typing import Annotated
 
 import numpy as np
 
 from .core import (GRIPPER, JointTrace, Range, Record, Rollout, TrackSet, check_order,
-                   step_array, wrap_angle)
+                   check_steps, step_array, wrap_angle)
 from .errors import CameraError, SceneError, ValidationError
 
 # An x, y and z coordinate inside the reachable workspace, m.
@@ -58,8 +60,9 @@ _JOINT_SIN_AMP = 0.03
 
 GRID_W = 10
 GRID_H = 10
-_GRID_X = np.linspace(0.2, 0.6, GRID_W)
-_GRID_Y = np.linspace(-0.25, 0.25, GRID_H)
+# world points of the static desk grid the tracks follow, (GRID_W * GRID_H, 3)
+_GRID = np.stack(np.meshgrid(np.linspace(0.2, 0.6, GRID_W), np.linspace(-0.25, 0.25, GRID_H),
+                             [TABLE_Z], indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 class CameraSpec(Record):
@@ -105,15 +108,37 @@ class SceneSpec(Record, error=SceneError):
         object.__setattr__(self, "goal_pos", tuple(map(float, self.goal_pos)))
 
     def start_state(self) -> np.ndarray:
-        """Deterministic start state row (see Rollout) from the scene seed."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(self.seed),
-                                                           spawn_key=(0,)))
-        x = 0.35 + rng.uniform(-0.03, 0.03)
-        y = 0.0 + rng.uniform(-0.05, 0.05)
-        z = 0.28 + rng.uniform(-0.02, 0.02)
-        roll = math.pi - 0.3 + rng.uniform(-0.05, 0.05)
-        yaw = rng.uniform(-0.2, 0.2)
-        return np.array([x, y, z, roll, 0.0, yaw, 1.0])
+        """Deterministic start state row (see Rollout) from the scene seed; a new array."""
+        return np.array(_start_state(int(self.seed)))
+
+
+@functools.lru_cache(maxsize=64)
+def _start_state(seed: int) -> tuple:
+    """The start state row of a seed, drawn once while among the last 64 asked for."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    x = 0.35 + rng.uniform(-0.03, 0.03)
+    y = 0.0 + rng.uniform(-0.05, 0.05)
+    z = 0.28 + rng.uniform(-0.02, 0.02)
+    roll = math.pi - 0.3 + rng.uniform(-0.05, 0.05)
+    yaw = rng.uniform(-0.2, 0.2)
+    return (x, y, z, roll, 0.0, yaw, 1.0)
+
+
+def _grid_pixels(camera: CameraSpec) -> np.ndarray:
+    """Read-only desk grid pixels, cached by the camera's bits (0.0 != -0.0 there)."""
+    return _project_grid(camera, struct.pack("7d", camera.fx, camera.fy, camera.cx,
+                                             camera.cy, *camera.position))
+
+
+@functools.lru_cache(maxsize=16)
+def _project_grid(camera: CameraSpec, bits: bytes) -> np.ndarray:
+    """Projected once per camera while it is among the last 16 asked for."""
+    px = camera.project(_GRID)
+    px.flags.writeable = False
+    return px
+
+
+_grid_pixels(CameraSpec())  # the default camera's, made with the module
 
 
 class ArtifactSpec(Record):
@@ -143,8 +168,8 @@ def _near(points: np.ndarray, spot: np.ndarray, tol: float) -> list[bool]:
 def _simulate(scene: SceneSpec, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     """Integrate validated (T, 7) actions kinematically with the attach/slip rule.
 
-    Returns the (T+1, 7) states, the (T+1, 3) object trajectory and the
-    outcome.
+    Returns the read-only (T+1, 7) states, checked by check_steps, the
+    (T+1, 3) object trajectory and the outcome.
     """
     if len(actions) == 0:
         raise ValidationError("empty action sequence")
@@ -153,8 +178,8 @@ def _simulate(scene: SceneSpec, actions: np.ndarray) -> tuple[np.ndarray, np.nda
     states[1:, GRIPPER] = actions[:, GRIPPER]
     np.add.accumulate(np.concatenate([states[:1, :GRIPPER], actions[:, :GRIPPER]]),
                       axis=0, out=states[:, :GRIPPER])
-    if not np.isfinite(states).all():
-        raise ValidationError("non-finite state field")
+    check_steps(states, "state")
+    states.flags.writeable = False
     ee = states[:, :3]
     # The object rests at its start position (row 0) or where the gripper
     # carried it last (row t >= 1 of ee); where[t] is that row at step t.
@@ -201,8 +226,8 @@ def resimulate(scene: SceneSpec, actions, rollout_id: str = "",
     """
     actions = step_array(actions, "action")
     states, _, outcome = _simulate(scene, actions)
-    return Rollout(id=rollout_id, task=task, states=states, actions=actions,
-                   outcome=outcome, meta={"scene": scene.to_dict()})
+    return Rollout._checked(id=rollout_id, task=task, states=states, actions=actions,
+                            outcome=outcome, meta={"scene": scene.to_dict()})
 
 
 def _smooth_profile(n: int) -> np.ndarray:
@@ -288,9 +313,7 @@ def synthesize_observations(rollout: Rollout, scene: SceneSpec,
     T = n - 1
     _, object_traj, _ = _simulate(scene, rollout.actions)
 
-    gx, gy = np.meshgrid(_GRID_X, _GRID_Y, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel(), np.full(GRID_W * GRID_H, TABLE_Z)], axis=1)
-    base_px = cam.project(grid)
+    base_px = _grid_pixels(cam)
 
     ee_px = cam.project(rollout.states[:, :3])
     obj_px = cam.project(object_traj)
@@ -310,25 +333,23 @@ def synthesize_observations(rollout: Rollout, scene: SceneSpec,
         scale = 1.0 + artifacts.topo_warp * (np.arange(n) / max(T, 1))
         points = c + scale[None, :, None] * (points - c)
     if artifacts.affine_jitter > 0:
-        for t in range(1, n):
-            ang = 0.05 * artifacts.affine_jitter * rng.standard_normal()
-            sc = 1.0 + 0.05 * artifacts.affine_jitter * rng.standard_normal()
-            rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-            points[:, t] = c + sc * (points[:, t] - c) @ rot.T
+        # frame t >= 1 becomes c + (scale * (p - c)) @ rot.T; draws alternate angle, scale
+        ang, grow = (0.05 * artifacts.affine_jitter * rng.standard_normal((T, 2))).T
+        cos, sin = np.cos(ang), np.sin(ang)
+        rot_t = np.stack([cos, sin, -sin, cos], axis=-1).reshape(T, 2, 2)
+        moved = (1.0 + grow)[:, None, None] * (points[:, 1:] - c).transpose(1, 0, 2)
+        points[:, 1:] = c + (moved @ rot_t).transpose(1, 0, 2)
     if artifacts.jitter_px > 0:
         points = points + rng.normal(0.0, artifacts.jitter_px, size=points.shape)
     if artifacts.flicker_rate > 0:
         toggles = rng.random((points.shape[0], T)) < artifacts.flicker_rate
-        parity = np.cumsum(toggles, axis=1) % 2
-        masks[:, 1:] = parity == 0
+        masks[:, 1:] = np.cumsum(toggles, axis=1) % 2 == 0
 
     q = joint_surrogate(rollout.poses())
     if artifacts.joint_spike > 0:
         q[n // 2, 0] += artifacts.joint_spike
 
-    meta = dict(rollout.meta)
-    meta["artifacts"] = artifacts.to_dict()
-    meta["obs_seed"] = int(seed)
-    meta["keypoint_cells"] = [cell_obj, cell_ee]
-    return replace(rollout, tracks=TrackSet(points, masks), joints=JointTrace(q),
-                   meta=meta)
+    meta = {**rollout.meta, "artifacts": artifacts.to_dict(), "obs_seed": int(seed),
+            "keypoint_cells": [cell_obj, cell_ee]}
+    return Rollout._checked(**{**vars(rollout), "tracks": TrackSet(points, masks),
+                               "joints": JointTrace(q), "meta": meta})

@@ -19,7 +19,7 @@ import pytest
 
 import failsynth.pipeline  # noqa: F401  (defines every Record subclass)
 from failsynth.config import PipelineConfig, SceneConfig
-from failsynth.core import Range, Record, decode
+from failsynth.core import ACTION_COLUMNS, STATE_COLUMNS, Range, Record, decode
 from failsynth.errors import SceneError, ValidationError
 from failsynth.perturb import PerturbationSpec
 from failsynth.world import ArtifactSpec, CameraSpec, SceneSpec
@@ -214,6 +214,24 @@ def _documented(cls, prefix):
                                   for r in ranges)
             if texts:
                 yield prefix + f.name, " × ".join(texts)
+
+
+def _readme_ranges():
+    """{key: range text} of the README tables' rows."""
+    rows = [[cell.strip() for cell in line.strip("| ").split("|")]
+            for line in README.read_text().splitlines() if line.startswith("| `")]
+    return {key.strip("`"): row[1] for row in rows for key in row[0].split(", ")}
+
+
+def test_each_step_column_declares_a_finite_range():
+    """Each column of the states and actions arrays has one Range, with two
+    finite ends, and README lists it."""
+    documented = _readme_ranges()
+    for member, columns in (("states", STATE_COLUMNS), ("actions", ACTION_COLUMNS)):
+        assert len(columns) == 7
+        for name, r in columns.items():
+            assert isinstance(r, Range) and math.isfinite(r.lo) and math.isfinite(r.hi)
+            assert documented[f"{member}.{name}"] == str(r)
 
 
 @pytest.mark.parametrize("cls, prefix", [

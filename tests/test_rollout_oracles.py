@@ -23,7 +23,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from failsynth.cli import main
 from failsynth.config import PipelineConfig
-from failsynth.core import GRIPPER, JointTrace, Rollout, TrackSet
+from failsynth.core import (ACTION_COLUMNS, GRIPPER, STATE_COLUMNS, JointTrace, Rollout,
+                            TrackSet)
 from failsynth.errors import SchemaError, ValidationError
 from failsynth.labels import generate_label
 from failsynth.perturb import (GRIPPER_THRESHOLD, PerturbationSpec,
@@ -40,6 +41,13 @@ from failsynth.world import _near, _simulate, resimulate, script_success
 # ---------------------------------------------------------------------------
 # per-step oracles
 
+def in_range(vals, columns):
+    """Each field of a per-step object lies in its column's closed range."""
+    for v, (name, r) in zip(vals, columns.items()):
+        if not r.lo <= v <= r.hi:
+            raise ValidationError(f"{name} {v} outside {r}")
+
+
 @dataclass(frozen=True)
 class RefState:
     x: float
@@ -54,8 +62,7 @@ class RefState:
         vals = (self.x, self.y, self.z, self.roll, self.pitch, self.yaw, self.gripper)
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError("non-finite end-effector state field")
-        if not 0.0 <= self.gripper <= 1.0:
-            raise ValidationError(f"gripper {self.gripper} outside [0, 1]")
+        in_range(vals, STATE_COLUMNS)
 
     def pose(self):
         return np.array([self.x, self.y, self.z, self.roll, self.pitch, self.yaw])
@@ -79,8 +86,7 @@ class RefAction:
                 self.gripper_cmd)
         if not all(math.isfinite(v) for v in vals):
             raise ValidationError("non-finite action field")
-        if not 0.0 <= self.gripper_cmd <= 1.0:
-            raise ValidationError(f"gripper_cmd {self.gripper_cmd} outside [0, 1]")
+        in_range(vals, ACTION_COLUMNS)
 
     def deltas(self):
         return np.array([self.dx, self.dy, self.dz, self.droll, self.dpitch, self.dyaw])
@@ -449,6 +455,13 @@ _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                      *_neighbours(1e-4), *_neighbours(-1e16)]),
     st.sampled_from(_EDGES), st.floats(-1.0, 1.0))
+# _FLOATS inside the range of the other state and action columns: every exponent
+# from the subnormals up, the range's ends and the edges _FLOATS samples
+_FAR = STATE_COLUMNS["x"]
+_STEP_FLOATS = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, math.frexp(_FAR.hi)[1] - 1)),
+    st.sampled_from([v for v in (*_EDGES, _FAR.lo, _FAR.hi, 0.0, -0.0, 5e-324)
+                     if _FAR.lo <= v <= _FAR.hi]))
 _GRIPPER = st.one_of(st.floats(0.0, 1.0),
                      st.sampled_from([0.0, 5e-324, 1e-5, *_neighbours(1e-4), 1.0]))
 _REPR_RANGE = st.one_of(
@@ -470,19 +483,20 @@ _SPECS = st.sampled_from([
 
 @st.composite
 def _rollouts(draw):
-    """A Rollout of 1-3 steps with drawn floats, optional joints and tracks
+    """A Rollout of 1-3 steps with drawn floats (inside the column ranges in
+    states and actions), optional joints and tracks
     (a NaN or an infinity may sit at a hidden track point), spec, outcome,
     id, task and meta."""
     t = draw(st.integers(1, 3))
 
-    def floats(*shape):
+    def floats(*shape, elements=_FLOATS):
         n = int(np.prod(shape))
-        return np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
                         dtype=float).reshape(shape)
 
     def steps(n):
         grip = draw(st.lists(_GRIPPER, min_size=n, max_size=n))
-        return np.column_stack([floats(n, 6), grip])
+        return np.column_stack([floats(n, 6, elements=_STEP_FLOATS), grip])
 
     joints = tracks = None
     if draw(st.booleans()):

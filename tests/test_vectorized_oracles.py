@@ -1,10 +1,14 @@
-"""Brute-force loop oracles for the vectorized track scores and IDM errors.
+"""Brute-force loop oracles for the vectorized track scores, IDM errors and
+observation synthesis.
 
 The oracles are the per-frame-pair, per-track and per-step loops the scores
-were first written as. Track sub-scores must agree to 1e-9 with identical
-pass bits; IDM errors must be bit-equal.
+were first written as, and the per-frame affine jitter loop. Track
+sub-scores must agree to 1e-9 with identical pass bits; IDM errors and
+synthesized observations must be bit-equal, and the observations' bytes are
+pinned for every artifact kind.
 """
 
+import hashlib
 import math
 import zlib
 
@@ -15,14 +19,16 @@ from hypothesis.extra import numpy as hnp
 
 from failsynth import tracks
 from failsynth.config import PipelineConfig
-from failsynth.core import state_diff
+from failsynth.core import FailureType, state_diff
 from failsynth.errors import InsufficientTrackingError
 from failsynth.pipeline import FAILURE_TYPES, perturb_one, sample_scene
 from failsynth.semantic import DEFAULT_VISUAL_FLOORS
 from failsynth.tracks import (TrackScoreConfig, fit_affine, quantile_sorted,
                               score_tracks)
 from failsynth.verify import NoisyPredictor, OraclePredictor, _idm_errors
-from failsynth.world import ArtifactSpec, script_success, synthesize_observations
+from failsynth.world import (GRID_H, GRID_W, TABLE_Z, ArtifactSpec, CameraSpec, SceneSpec,
+                             _simulate, joint_surrogate, script_success,
+                             synthesize_observations)
 
 CFG = TrackScoreConfig()
 TOL = 1e-9
@@ -111,6 +117,49 @@ def idm_errors_loop(rollout, predictor, d, radian_weight):
     diffs = np.stack([predictor(rollout, t, d) - state_diff(rollout, t, d)
                       for t in range(rollout.horizon - d + 1)])
     return np.linalg.norm(diffs * w, axis=1), diffs
+
+
+def observations_loop(rollout, scene, artifacts, seed):
+    """(points, masks, q) of synthesize_observations, with the desk grid built
+    and projected on every call and the affine jitter applied frame by frame."""
+    cam = scene.camera
+    n = len(rollout.states)
+    T = n - 1
+    _, object_traj, _ = _simulate(scene, rollout.actions)
+    gx, gy = np.meshgrid(np.linspace(0.2, 0.6, GRID_W), np.linspace(-0.25, 0.25, GRID_H),
+                         indexing="ij")
+    grid = np.stack([gx.ravel(), gy.ravel(), np.full(GRID_W * GRID_H, TABLE_Z)], axis=1)
+    base_px = cam.project(grid)
+    ee_px = cam.project(rollout.states[:, :3])
+    obj_px = cam.project(object_traj)
+    points = np.repeat(base_px[:, None, :], n, axis=1)
+    cell_obj = int(np.argmin(np.linalg.norm(base_px - obj_px[0], axis=1)))
+    d_ee = np.linalg.norm(base_px - ee_px[0], axis=1)
+    d_ee[cell_obj] = np.inf
+    cell_ee = int(np.argmin(d_ee))
+    points[cell_obj] = obj_px
+    points[cell_ee] = ee_px
+    masks = np.ones((points.shape[0], n), dtype=bool)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(2,)))
+    c = cam.center()
+    if artifacts.topo_warp > 0:
+        scale = 1.0 + artifacts.topo_warp * (np.arange(n) / max(T, 1))
+        points = c + scale[None, :, None] * (points - c)
+    if artifacts.affine_jitter > 0:
+        for t in range(1, n):
+            ang = 0.05 * artifacts.affine_jitter * rng.standard_normal()
+            sc = 1.0 + 0.05 * artifacts.affine_jitter * rng.standard_normal()
+            rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+            points[:, t] = c + sc * (points[:, t] - c) @ rot.T
+    if artifacts.jitter_px > 0:
+        points = points + rng.normal(0.0, artifacts.jitter_px, size=points.shape)
+    if artifacts.flicker_rate > 0:
+        toggles = rng.random((points.shape[0], T)) < artifacts.flicker_rate
+        masks[:, 1:] = np.cumsum(toggles, axis=1) % 2 == 0
+    q = joint_surrogate(rollout.poses())
+    if artifacts.joint_spike > 0:
+        q[n // 2, 0] += artifacts.joint_spike
+    return points, masks, q
 
 
 def noisy_loop(sigma_xyz, sigma_rpy, bias, seed):
@@ -325,3 +374,97 @@ class TestIdmErrorsMatchLoop:
             want_errs, want_diffs = idm_errors_loop(cand, loop, d, 0.1)
             assert np.array_equal(errs, want_errs)
             assert np.array_equal(diffs, want_diffs)
+
+
+# ---------------------------------------------------------------------------
+# observation synthesis
+
+def _magnitude(hi):
+    return st.one_of(st.just(0.0), st.floats(0.0, hi), st.sampled_from([1e-300, hi]))
+
+
+_ARTIFACTS = st.builds(ArtifactSpec, jitter_px=_magnitude(10.0), flicker_rate=_magnitude(1.0),
+                       topo_warp=_magnitude(2.0), affine_jitter=_magnitude(1e3),
+                       joint_spike=_magnitude(1.0))
+# cameras whose fields hold a -0.0 or a 0.0 where a projected coordinate is -0.0
+_CAMERAS = st.builds(CameraSpec, fx=st.sampled_from([600.0, 450.5]),
+                     cx=st.sampled_from([320.0, 0.0, -0.0]), cy=st.sampled_from([240.0, 0.0, -0.0]),
+                     position=st.sampled_from([(0.45, 0.0, 0.95), (0.2, -0.25, 0.9)]))
+
+
+def _as_tuple(ro):
+    return ro.tracks.points, ro.tracks.masks, ro.joints.q
+
+
+def assert_observations_bit_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestObservationsMatchLoop:
+    @given(artifacts=_ARTIFACTS, seed=st.integers(0, 2 ** 63), which=st.integers(0, 7),
+           camera=_CAMERAS)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal(self, candidates, artifacts, seed, which, camera):
+        scene, cand = candidates[which]
+        scene = SceneSpec(**{**vars(scene), "camera": camera})
+        got = synthesize_observations(cand, scene, artifacts, seed=seed)
+        assert_observations_bit_equal(_as_tuple(got),
+                                      observations_loop(cand, scene, artifacts, seed))
+
+    def test_signed_zero_cameras_differ(self, candidates):
+        """Cameras == calls equal but whose fields differ in a zero's sign
+        give tracks that differ in that sign; neither is taken for the other."""
+        scene, cand = candidates[0]
+        cams = [CameraSpec(cy=cy, position=(0.2, -0.25, 0.9)) for cy in (-0.0, 0.0, -0.0)]
+        assert cams[0] == cams[1]
+        seen = []
+        for cam in cams:
+            sc = SceneSpec(**{**vars(scene), "camera": cam})
+            got = _as_tuple(synthesize_observations(cand, sc, seed=1))
+            assert_observations_bit_equal(got, observations_loop(cand, sc, ArtifactSpec(), 1))
+            seen.append(got[0].tobytes())
+        assert seen[0] != seen[1] and seen[0] == seen[2]
+
+
+# sha256 over the (shape, bytes) of points, masks and q of a seed's demo 0 and
+# its translation candidate, each synthesized with that seed
+OBSERVATION_SHA256 = {
+    (808, "affine_hi"): "44bbbe08d2097b05159bc930129c6b23ce3da03ed053101bc3f2de1c385f3bfb",
+    (808, "affine_lo"): "7e57095da03fbcfb3d719df3834d7197475ab8c9dc8feb3eab4bf644f14327a6",
+    (808, "clean"): "30342a84a92adc4da8ece5d0a28e9def381686a9fe294f41bdb222902dad6cdb",
+    (808, "flicker_hi"): "b4b2a98ad0bf3f9eef919ab6243ecf13edc5341146dd417b9165cb2b593127ca",
+    (808, "flicker_lo"): "ea1bc2eeefb41748b5b53c642d07b0cc02f12fe8d648258880317f4a778d8432",
+    (808, "jitter_hi"): "60bdea155dbd7207133c231a0ce5fccb0221821ea61341bcc64c7632ac8a610f",
+    (808, "jitter_lo"): "e45a054963af0f02597621a3f5f0e8733129268be06872dfeefaa9d70c213452",
+    (808, "spike_hi"): "1d6f29307c5fd593233214c293641deb44338e7385889ce89c41bf12d63f0119",
+    (808, "spike_lo"): "0abf97618a4c23b70a21c7a43f58d941e5a8926e3410068bb1f82d68bb001a2b",
+    (808, "topo_hi"): "fc77f3019cef19c983598fe1c26ecbd35a6be8b7a43bd6af8807e9b891dfcd0e",
+    (808, "topo_lo"): "c56ccb8631ebc26c60933052cf5629f4d0ef137983bbc978847f87e5cf0097d9",
+    (1, "affine_hi"): "5ee37d272488a633f91784c287eb5bbe811cf156a2577870e1c1dd3118884159",
+    (1, "affine_lo"): "0ca4fd5c91a39de5512fea5a4a23120fae5cf93bb829f09a0d57deade835513d",
+    (1, "clean"): "8dbca0e410083889b1de96d4466c4c0b59ede39dd02e13fd6c8b73b526bc35c2",
+    (1, "flicker_hi"): "f52438aa55cbded2c1662619613cdea3231e99cbbafe425cf3d3b560259f876e",
+    (1, "flicker_lo"): "2a261dd754aab26a17d1eaf0cecd7393ce1bf2a5b365dea3bb770e0d3338ce9a",
+    (1, "jitter_hi"): "8865ba3c3fa735065fcf9c8e1784f4e895514e2cd9ac0788c4bd1eee1f4ef41f",
+    (1, "jitter_lo"): "a9f822d8a6362b220a8db00e71795884dbc0458f3e755f84f281c5a4c7a11061",
+    (1, "spike_hi"): "1fdb84a29893599d443047b995d99dcc41c9299fcae7b408929b5e4d243cef43",
+    (1, "spike_lo"): "9def2ac95bbf1423ffaaa6e5abcfe6a5822d330a98b8b7913d336f034fbef451",
+    (1, "topo_hi"): "010134a584683ab7c9a14d8b5dd746acf684e5539d1759c30962feeba4a194fd",
+    (1, "topo_lo"): "4ad32e71c9f952b6727196996905d7aa51c98a7ef8e1cbd41c9d03c52716af08",
+}
+
+
+@pytest.mark.parametrize("seed, kind", sorted(OBSERVATION_SHA256))
+def test_observation_bytes_are_pinned(seed, kind):
+    cfg = PipelineConfig(seed=seed)
+    scene = sample_scene(cfg, 0)
+    demo = script_success(scene, horizon=cfg.horizon, rollout_id="demo-0")
+    cand, _ = perturb_one(demo, cfg, 0, FailureType.translation)
+    h = hashlib.sha256()
+    for ro in (demo, cand):
+        for a in _as_tuple(synthesize_observations(ro, scene, ARTIFACT_KINDS[kind], seed=seed)):
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == OBSERVATION_SHA256[seed, kind]

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,17 @@ from failsynth.world import (FRANKA_Q_MAX, FRANKA_Q_MIN, ArtifactSpec,
                              CameraSpec, SceneSpec, _smooth_profile,
                              _trapezoid_profile, joint_surrogate, resimulate,
                              script_success, synthesize_observations)
+
+
+def _start_state_drawn(seed):
+    """The start state row drawn from the seed, as on every call before caching."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    x = 0.35 + rng.uniform(-0.03, 0.03)
+    y = 0.0 + rng.uniform(-0.05, 0.05)
+    z = 0.28 + rng.uniform(-0.02, 0.02)
+    roll = math.pi - 0.3 + rng.uniform(-0.05, 0.05)
+    yaw = rng.uniform(-0.2, 0.2)
+    return np.array([x, y, z, roll, 0.0, yaw, 1.0])
 
 
 def _scene(**kw):
@@ -69,6 +83,18 @@ class TestSceneSpec:
     def test_dict_round_trip(self):
         s = _scene()
         assert SceneSpec.from_dict(s.to_dict()) == s
+
+    def test_start_state_equals_a_drawn_one(self):
+        """1000 seeds, more than the cache holds, in shuffled order and then
+        again: each start state equals the row drawn from its seed, and
+        writing to a returned array changes no later one."""
+        seeds = [*range(500), *(2 ** 62 - 1 - k for k in range(500))]
+        random.Random(7).shuffle(seeds)
+        for seed in seeds + seeds[::-3]:
+            got = _scene(seed=seed).start_state()
+            assert got.flags.writeable
+            assert got.tobytes() == _start_state_drawn(seed).tobytes()
+            got[:] = -1.0
 
 
 class TestArtifactSpec:
