@@ -251,13 +251,16 @@ _LIMITS = {kind: np.array([r.closed() for r in columns.values()]).T.copy()
 
 def check_steps(a: np.ndarray, kind: str) -> None:
     """Raise ValidationError unless every value of the (n, 7) float array a of
-    "state" or "action" rows is finite and lies in its column's range."""
+    "state" or "action" rows is finite and lies in its column's range.
+
+    Like a row-by-row reader, it reports the first row holding a fault, and
+    in that row a non-finite value before a value out of range."""
     lo, hi = _LIMITS[kind]
     inside = (a >= lo) & (a <= hi)
     if not inside.all():
-        if not np.isfinite(a).all():
-            raise ValidationError(f"non-finite {kind} field")
         i, j = np.argwhere(~inside)[0]
+        if not np.isfinite(a[i]).all():
+            raise ValidationError(f"non-finite {kind} field")
         name, r = list(_COLUMNS[kind].items())[j]
         raise ValidationError(f"{kind} {name} must lie in {r}, got {float(a[i, j])!r}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import field
 from typing import Annotated
 
@@ -112,9 +111,13 @@ class SceneSpec(Record, error=SceneError):
         return np.array(_start_state(int(self.seed)))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _start_state(seed: int) -> tuple:
-    """The start state row of a seed, drawn once while among the last 64 asked for."""
+    """The start state row of a seed, drawn once per run of rollouts of that seed.
+
+    A stage meets a scene's rollouts one after another (a demo, then its
+    candidates), so the last seed asked for is all there is to keep.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     x = 0.35 + rng.uniform(-0.03, 0.03)
     y = 0.0 + rng.uniform(-0.05, 0.05)
@@ -124,21 +127,12 @@ def _start_state(seed: int) -> tuple:
     return (x, y, z, roll, 0.0, yaw, 1.0)
 
 
-def _grid_pixels(camera: CameraSpec) -> np.ndarray:
-    """Read-only desk grid pixels, cached by the camera's bits (0.0 != -0.0 there)."""
-    return _project_grid(camera, struct.pack("7d", camera.fx, camera.fy, camera.cx,
-                                             camera.cy, *camera.position))
-
-
-@functools.lru_cache(maxsize=16)
-def _project_grid(camera: CameraSpec, bits: bytes) -> np.ndarray:
-    """Projected once per camera while it is among the last 16 asked for."""
-    px = camera.project(_GRID)
-    px.flags.writeable = False
-    return px
-
-
-_grid_pixels(CameraSpec())  # the default camera's, made with the module
+# The desk grid's pixels under the default camera, which every scene the
+# pipeline samples uses. A camera == to it differs at most in the sign of
+# position y, which changes no pixel: no grid point has y == 0.
+_DEFAULT_CAMERA = CameraSpec()
+_DEFAULT_GRID_PX = _DEFAULT_CAMERA.project(_GRID)
+_DEFAULT_GRID_PX.flags.writeable = False
 
 
 class ArtifactSpec(Record):
@@ -313,7 +307,7 @@ def synthesize_observations(rollout: Rollout, scene: SceneSpec,
     T = n - 1
     _, object_traj, _ = _simulate(scene, rollout.actions)
 
-    base_px = _grid_pixels(cam)
+    base_px = _DEFAULT_GRID_PX if cam == _DEFAULT_CAMERA else cam.project(_GRID)
 
     ee_px = cam.project(rollout.states[:, :3])
     obj_px = cam.project(object_traj)

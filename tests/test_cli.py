@@ -523,6 +523,17 @@ class TestMalformedRecords:
             assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
                         "-o", tmp_path / "r.jsonl", "--seed", 11) == code
 
+    def test_range_fault_before_non_finite_is_named(self, workdir, tmp_path, capsys):
+        """An out-of-range value in an earlier row is the fault reported, not a
+        NaN in a later row."""
+        def range_first(rec):
+            rec["states"][2][0] = 1e300
+            rec["states"][4][0] = float("nan")
+        path = _mutated_candidates(workdir, tmp_path, range_first)
+        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                    "-o", tmp_path / "r.jsonl", "--seed", 11) == 4
+        assert "state x must lie in [-1000.0, 1000.0], got 1e+300" in capsys.readouterr().err
+
     def test_record_that_is_not_an_object_is_2(self, workdir, tmp_path):
         path = tmp_path / "cands.jsonl"
         path.write_text("[1, 2, 3]\n")

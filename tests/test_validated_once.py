@@ -132,3 +132,23 @@ def test_far_coordinate_fails_verify_naming_the_column(tmp_path, capsys, member,
     assert code == 4
     message = f"{member[:-1]} {column} must lie in [-1000.0, 1000.0], got 1e+300"
     assert message in capsys.readouterr().err
+
+
+_NAN, _FAR = float("nan"), 1e300
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({(1, 0): _FAR, (3, 2): _NAN}, "state x must lie in"),
+    ({(1, 2): _NAN, (3, 0): _FAR}, "non-finite state field"),
+    ({(2, 0): _FAR, (2, 3): _NAN}, "non-finite state field"),
+    ({(2, 0): _NAN, (2, 3): _FAR}, "non-finite state field"),
+])
+def test_whole_array_reports_the_fault_the_row_reader_meets(demo, faults, message):
+    """A record's step rows report the same fault whether they are read as one
+    array or row by row (forced by a later row that is not a list)."""
+    rows = demo.states.tolist()
+    for (i, j), v in faults.items():
+        rows[i][j] = v
+    for read in (rows, rows + ["not a row"]):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            failsynth.rollout_io._step_rows(read, "state")

@@ -389,7 +389,8 @@ _ARTIFACTS = st.builds(ArtifactSpec, jitter_px=_magnitude(10.0), flicker_rate=_m
 # cameras whose fields hold a -0.0 or a 0.0 where a projected coordinate is -0.0
 _CAMERAS = st.builds(CameraSpec, fx=st.sampled_from([600.0, 450.5]),
                      cx=st.sampled_from([320.0, 0.0, -0.0]), cy=st.sampled_from([240.0, 0.0, -0.0]),
-                     position=st.sampled_from([(0.45, 0.0, 0.95), (0.2, -0.25, 0.9)]))
+                     position=st.sampled_from([(0.45, 0.0, 0.95), (0.45, -0.0, 0.95),
+                                               (0.2, -0.25, 0.9)]))
 
 
 def _as_tuple(ro):
@@ -426,6 +427,20 @@ class TestObservationsMatchLoop:
             assert_observations_bit_equal(got, observations_loop(cand, sc, ArtifactSpec(), 1))
             seen.append(got[0].tobytes())
         assert seen[0] != seen[1] and seen[0] == seen[2]
+
+    def test_default_camera_with_a_negative_zero(self, candidates):
+        """A camera == the default whose position y is -0.0 gives the same
+        tracks as the default, bit for bit, and as the per-call projection."""
+        scene, cand = candidates[0]
+        seen = []
+        for y in (0.0, -0.0):
+            cam = CameraSpec(position=(0.45, y, 0.95))
+            assert cam == CameraSpec()
+            sc = SceneSpec(**{**vars(scene), "camera": cam})
+            got = _as_tuple(synthesize_observations(cand, sc, seed=1))
+            assert_observations_bit_equal(got, observations_loop(cand, sc, ArtifactSpec(), 1))
+            seen.append(got[0].tobytes())
+        assert seen[0] == seen[1]
 
 
 # sha256 over the (shape, bytes) of points, masks and q of a seed's demo 0 and
