@@ -502,9 +502,10 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert ("schema error" if code == 2 else "validation error") in err
 
-    def test_first_fault_in_row_order_wins(self, workdir, tmp_path):
+    def test_first_fault_in_row_order_wins(self, workdir, tmp_path, capsys):
         """A bad value in an earlier row is reported before a schema fault in
-        a later row or field, and the other way round."""
+        a later row or field, and the other way round; a value out of range
+        is reported before a non-finite value in a later row."""
         def value_first(rec):
             rec["states"][2][0] = float("nan")
             rec["actions"][3][1] = None
@@ -517,22 +518,19 @@ class TestMalformedRecords:
         def length_last(rec):  # zero states is a length fault, checked last
             rec["states"] = []
             rec["actions"][0] = None
-        for mutate, code in ((value_first, 4), (schema_first, 2),
-                             (value_first_in_row, 4), (length_last, 2)):
-            path = _mutated_candidates(workdir, tmp_path, mutate)
-            assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
-                        "-o", tmp_path / "r.jsonl", "--seed", 11) == code
-
-    def test_range_fault_before_non_finite_is_named(self, workdir, tmp_path, capsys):
-        """An out-of-range value in an earlier row is the fault reported, not a
-        NaN in a later row."""
         def range_first(rec):
             rec["states"][2][0] = 1e300
             rec["states"][4][0] = float("nan")
-        path = _mutated_candidates(workdir, tmp_path, range_first)
-        assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
-                    "-o", tmp_path / "r.jsonl", "--seed", 11) == 4
-        assert "state x must lie in [-1000.0, 1000.0], got 1e+300" in capsys.readouterr().err
+        for mutate, code, message in (
+                (value_first, 4, "non-finite state field"),
+                (schema_first, 2, "state value is not a number: None"),
+                (value_first_in_row, 4, "non-finite state field"),
+                (length_last, 2, "action row is not 7 numbers: None"),
+                (range_first, 4, "state x must lie in [-1000.0, 1000.0], got 1e+300")):
+            path = _mutated_candidates(workdir, tmp_path, mutate)
+            assert _run("verify", "-i", path, "--calibration", workdir / "calib.json",
+                        "-o", tmp_path / "r.jsonl", "--seed", 11) == code
+            assert message in capsys.readouterr().err
 
     def test_record_that_is_not_an_object_is_2(self, workdir, tmp_path):
         path = tmp_path / "cands.jsonl"
