@@ -6,7 +6,8 @@ are derived structurally, output record order follows input order, and all
 artifacts carry the config hash.
 
 Stages stream: each reads one record, does its work and hands that record's
-output to the writer before it reads the next, keeping only counters and the
+output to the writer before it reads the next (verify reads up to LOOKAHEAD
+ahead while a judge's reply is not in), keeping only counters and the
 per-candidate values its manifest averages. Writers replace their file
 atomically, so a stage that fails leaves no output behind.
 """
@@ -14,6 +15,7 @@ atomically, so a stage that fails leaves no output behind.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from typing import Iterator, Optional
 
 import numpy as np
@@ -27,14 +29,15 @@ from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
                       inject_weak_close)
 from .recovery import map_to_primitives, replay_with_recovery
-from .rollout_io import (read_records, rollout_from_record, with_member,
-                         with_meta_member, write_json, write_records,
-                         write_rollouts)
+from .rollout_io import (SourceRecord, loads_record, read_records,
+                         rollout_from_record, with_member, with_meta_member,
+                         write_json, write_records, write_rollouts)
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
-from .verify import (calibrate_idm, calibrate_joints, joint_exceedance,
+# verify_rollout is not called here; perfbench's trace wraps pipeline.verify_rollout
+from .verify import (calibrate_idm, calibrate_joints, joint_exceedance, judged_report,
                      load_calibrations, predictor_from_spec, save_calibrations,
-                     verify_rollout)
+                     semantic_request, verify_physical, verify_rollout)
 from .world import ArtifactSpec, SceneSpec, resimulate, script_success, synthesize_observations
 
 log = logging.getLogger(__name__)
@@ -231,9 +234,20 @@ def _check_accounting(manifest: dict) -> None:
             f"{total}, generated = {manifest['generated']}")
 
 
+# Candidates checked ahead of the judge's reply. A pipe judge's start-up takes
+# about 22 ms, about 20 candidates at 1 ms each; an entry holds no rollout
+# arrays (about 14 KB), so 32 cover the start-up for under 0.5 MB.
+LOOKAHEAD = 32
+
+
 def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
                manifest_path=None) -> dict:
-    """Run the four-verifier gate over a candidate file, one candidate at a time."""
+    """Run the four-verifier gate over a candidate file, in input order.
+
+    Each candidate's request goes to the judge before its physical checks
+    run, and its reply is taken after them, one request in flight. While the
+    judge's reply is not in, up to LOOKAHEAD more candidates are checked.
+    """
     idm_calib, joint_calib, gt_stats = load_calibrations(calib_path)
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
     # each rejection counter, in manifest order, and the report bit it counts
@@ -244,28 +258,53 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
     generated = quarantined = rejected = 0
     stats = _Stats()
 
+    def judged(client, queue):
+        """The queue head's output if it is retained, once its reply is in;
+        the next request goes out as soon as that reply is taken."""
+        nonlocal quarantined, rejected
+        _, rollout_id, line, meta, physical, exceedance = queue.popleft()
+        try:
+            report = judged_report(rollout_id, physical, client)
+        except TransportError as exc:
+            log.warning("quarantining %s: %s", rollout_id, exc)
+            quarantined += 1
+            return
+        finally:
+            if queue:
+                client.send(queue[0][0])
+        for counter, passed in rejections.items():
+            counts[counter] += not getattr(report, passed)
+        if report.track_scores is not None:
+            stats.add_scores(report.track_scores)
+        stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)
+        stats.add_exceedance(exceedance)
+        if not report.retained:
+            rejected += 1
+            return
+        # what with_meta_member writes for the record, without holding its arrays
+        light = SourceRecord(meta=meta)
+        light.line = line
+        out = with_meta_member(light, "verifier", report.to_dict())
+        # not spliced: the whole record is encoded again
+        yield out if type(out) is str else with_meta_member(
+            loads_record(line), "verifier", report.to_dict())
+
     def retained_records(client):
-        nonlocal generated, quarantined, rejected
+        nonlocal generated
+        queue = deque()  # (request, id, line, meta, physical verdicts, exceedance)
         for rec in read_records(candidates_path):
             cand = _with_observations(rollout_from_record(rec))
             generated += 1
-            try:
-                report = verify_rollout(cand, predictor, idm_calib, joint_calib,
-                                        client, cfg.tracks)
-            except TransportError as exc:
-                log.warning("quarantining %s: %s", cand.id, exc)
-                quarantined += 1
-                continue
-            for counter, passed in rejections.items():
-                counts[counter] += not getattr(report, passed)
-            if report.track_scores is not None:
-                stats.add_scores(report.track_scores)
-            stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)
-            stats.add_exceedance(joint_exceedance(cand.joints, joint_calib))
-            if report.retained:
-                yield with_meta_member(rec, "verifier", report.to_dict())
-            else:
-                rejected += 1
+            request = semantic_request(cand)
+            if not queue:
+                client.send(request)
+            physical = verify_physical(cand, predictor, idm_calib, joint_calib, cfg.tracks)
+            queue.append((request, cand.id, rec.line, rec.get("meta"), physical,
+                          joint_exceedance(cand.joints, joint_calib)))
+            while queue and (len(queue) > LOOKAHEAD or client.ready()):
+                yield from judged(client, queue)
+        while queue:
+            yield from judged(client, queue)
 
     client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
     try:

@@ -18,7 +18,6 @@ import json
 import os
 import select
 import subprocess
-import threading
 import time
 from typing import Optional
 
@@ -51,27 +50,40 @@ def mock_judgment(request: dict, floors: Optional[dict] = None) -> dict:
             "rationale": rationale}
 
 
-class MockSemanticVerifier:
-    """Answers from simulator ground truth carried in the clip descriptors."""
+class _Client:
+    """A judge used one request at a time: send it, then receive its reply.
 
-    def __init__(self, floors: Optional[dict] = None):
-        self.floors = floors
+    ready() says whether receive() would answer without waiting. This base
+    keeps the request and answers it in receive(), so it is always ready.
+    """
 
-    def judge(self, request: dict) -> dict:
-        return mock_judgment(request, self.floors)
+    def send(self, request: dict) -> None:
+        self._request = request
+
+    def ready(self) -> bool:
+        return True
 
     def close(self):
         pass
 
 
-class PipeClient:
-    """Line-delimited JSON over a subprocess pipe.
+class MockSemanticVerifier(_Client):
+    """Answers from simulator ground truth carried in the clip descriptors."""
 
-    Bounds concurrent use with a lock; the judge process is expected to
-    answer one line per request line within timeout seconds. A judge that
-    misses the deadline may still answer late, and that answer would be
-    read as the reply to the next request, so after one timeout every
-    later request fails at once.
+    def __init__(self, floors: Optional[dict] = None):
+        self.floors = floors
+
+    def receive(self) -> dict:
+        return mock_judgment(self._request, self.floors)
+
+
+class PipeClient(_Client):
+    """Line-delimited JSON over a subprocess pipe, one request in flight.
+
+    The judge must answer each request line with one line within timeout
+    seconds of the send. A reply that missed its deadline, or was never
+    received, may still come and be read as the next request's, so after
+    either every later request fails at once. A failed send shows in receive.
     """
 
     def __init__(self, cmd: list[str], timeout: float = DEFAULT_TIMEOUT_S):
@@ -81,18 +93,33 @@ class PipeClient:
         except OSError as exc:
             raise TransportError(f"cannot start judge process: {exc}") from exc
         self.timeout = timeout
-        self._lock = threading.Lock()
         self._unread = b""  # bytes read past the last reply line
-        self._timed_out = False
+        self._deadline = None  # of the request in flight
+        self._send_error = None
+        self._out_of_step = False  # a reply to an earlier request may still come
 
-    def _readline(self) -> bytes:
+    def send(self, request: dict) -> None:
+        self._out_of_step |= self._deadline is not None
+        self._deadline = time.monotonic() + self.timeout
+        self._send_error = None
+        if not self._out_of_step:
+            try:
+                self.proc.stdin.write((json.dumps(request) + "\n").encode())
+                self.proc.stdin.flush()
+            except (OSError, ValueError) as exc:
+                self._send_error = exc
+
+    def ready(self) -> bool:
+        return (self._out_of_step or b"\n" in self._unread
+                or bool(select.select([self.proc.stdout], [], [], 0)[0]))
+
+    def _readline(self, deadline: float) -> bytes:
         """Next reply line (b"" once the judge closed its end), by deadline."""
-        deadline = time.monotonic() + self.timeout
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._unread:
             left = deadline - time.monotonic()
             if left <= 0 or not select.select([fd], [], [], left)[0]:
-                self._timed_out = True
+                self._out_of_step = True
                 raise TransportError(f"judge did not answer within {self.timeout} s")
             chunk = os.read(fd, 65536)
             if not chunk:  # end of file: hand over what is left
@@ -102,16 +129,16 @@ class PipeClient:
         line, _, self._unread = self._unread.partition(b"\n")
         return line + b"\n"
 
-    def judge(self, request: dict) -> dict:
-        with self._lock:
-            if self._timed_out:
-                raise TransportError("judge timed out on an earlier request")
-            try:
-                self.proc.stdin.write((json.dumps(request) + "\n").encode())
-                self.proc.stdin.flush()
-                line = self._readline()
-            except (OSError, ValueError) as exc:
-                raise TransportError(f"judge pipe failed: {exc}") from exc
+    def receive(self) -> dict:
+        deadline, self._deadline = self._deadline, None
+        if self._out_of_step:
+            raise TransportError("a reply to an earlier request is still due")
+        try:
+            if self._send_error is not None:
+                raise self._send_error
+            line = self._readline(deadline)
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"judge pipe failed: {exc}") from exc
         if not line:
             raise TransportError("judge process closed the pipe")
         try:
@@ -130,17 +157,17 @@ class PipeClient:
         self.proc.stdout.close()
 
 
-class HttpClient:
-    """POSTs each request as JSON to a fixed endpoint."""
+class HttpClient(_Client):
+    """POSTs each request as JSON to a fixed endpoint when its reply is received."""
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT_S):
         self.url = url
         self.timeout = timeout
 
-    def judge(self, request: dict) -> dict:
+    def receive(self) -> dict:
         import urllib.error
         import urllib.request
-        data = json.dumps(request).encode()
+        data = json.dumps(self._request).encode()
         req = urllib.request.Request(self.url, data=data,
                                      headers={"Content-Type": "application/json"})
         try:
@@ -148,9 +175,6 @@ class HttpClient:
                 return json.loads(resp.read().decode())
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             raise TransportError(f"judge endpoint failed: {exc}") from exc
-
-    def close(self):
-        pass
 
 
 def client_from_endpoint(endpoint: str, floors: Optional[dict] = None):

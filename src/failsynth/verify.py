@@ -243,19 +243,21 @@ def clip_descriptor(rollout: Rollout) -> dict:
             "artifacts": rollout.meta.get("artifacts")}
 
 
-def verify_semantic(rollout: Rollout, client) -> tuple[bool, bool]:
-    """Two judgments: is this a valid failure, and is the clip visually clean.
+def semantic_request(rollout: Rollout) -> dict:
+    """The semantic judge's request for one candidate."""
+    return {"instruction": rollout.task, "reference_clip_ref": None,
+            "candidate_clip_ref": clip_descriptor(rollout)}
+
+
+def verify_semantic(client) -> tuple[bool, bool]:
+    """Two judgments, from the reply to the request in flight on client: is
+    this a valid failure, and is the clip visually clean.
 
     Transport errors propagate; the pipeline quarantines the rollout. A reply
     that is not a JSON object carrying both judgments as JSON booleans is one
     too.
     """
-    request = {
-        "instruction": rollout.task,
-        "reference_clip_ref": None,
-        "candidate_clip_ref": clip_descriptor(rollout),
-    }
-    resp = client.judge(request)
+    resp = client.receive()
     if not (isinstance(resp, dict) and all(isinstance(resp.get(k), bool)
                                            for k in ("valid_failure", "visual_ok"))):
         raise TransportError("judge reply lacks boolean valid_failure/visual_ok: "
@@ -289,15 +291,11 @@ def gate(semantic_valid_failure: bool, semantic_visual_ok: bool, idm_pass: bool,
                 and joint_pass and track_pass)
 
 
-def verify_rollout(rollout: Rollout, predictor,
-                   idm_calib: IdmCalibration, joint_calib: JointCalibration,
-                   client, track_cfg: TrackScoreConfig = TrackScoreConfig(),
-                   ) -> VerifierReport:
-    """Run all four verifiers on one candidate and combine with the gate.
-
-    TransportError from the semantic client propagates (quarantine path).
-    """
-    valid_failure, visual_ok = verify_semantic(rollout, client)
+def verify_physical(rollout: Rollout, predictor, idm_calib: IdmCalibration,
+                    joint_calib: JointCalibration,
+                    track_cfg: TrackScoreConfig = TrackScoreConfig()) -> dict:
+    """The IDM, joint and track verdicts of one candidate, as VerifierReport
+    fields; they hold none of the rollout's arrays."""
     idm = verify_idm(rollout, predictor, idm_calib)
     if rollout.joints is None:
         raise ValidationError(f"rollout {rollout.id} missing joint trace")
@@ -312,16 +310,34 @@ def verify_rollout(rollout: Rollout, predictor,
         scores = None
         confident = False
         track_pass = False
-    retained = gate(valid_failure, visual_ok, idm.passed, joint_pass, track_pass)
-    return VerifierReport(
-        rollout_id=rollout.id,
-        semantic_valid_failure=valid_failure,
-        semantic_visual_ok=visual_ok,
-        idm_error=idm.q, idm_pass=idm.passed,
-        idm_mae_xyz=idm.mae_xyz, idm_mae_rpy=idm.mae_rpy,
-        joint_pass=joint_pass, joint_violations=tuple(violations),
-        track_scores=scores, track_pass=track_pass, track_confident=confident,
-        retained=retained)
+    return dict(idm_error=idm.q, idm_pass=idm.passed,
+                idm_mae_xyz=idm.mae_xyz, idm_mae_rpy=idm.mae_rpy,
+                joint_pass=joint_pass, joint_violations=tuple(violations),
+                track_scores=scores, track_pass=track_pass, track_confident=confident)
+
+
+def judged_report(rollout_id: str, physical: dict, client) -> VerifierReport:
+    """Gate a candidate's physical verdicts with the judge's reply to its
+    request, which must be the one in flight on client."""
+    valid_failure, visual_ok = verify_semantic(client)
+    retained = gate(valid_failure, visual_ok, physical["idm_pass"],
+                    physical["joint_pass"], physical["track_pass"])
+    return VerifierReport(rollout_id=rollout_id, semantic_valid_failure=valid_failure,
+                          semantic_visual_ok=visual_ok, **physical, retained=retained)
+
+
+def verify_rollout(rollout: Rollout, predictor,
+                   idm_calib: IdmCalibration, joint_calib: JointCalibration,
+                   client, track_cfg: TrackScoreConfig = TrackScoreConfig(),
+                   ) -> VerifierReport:
+    """Run all four verifiers on one candidate and combine with the gate.
+
+    The physical checks run while the judge works on the candidate's request.
+    TransportError from the semantic client propagates (quarantine path).
+    """
+    client.send(semantic_request(rollout))
+    physical = verify_physical(rollout, predictor, idm_calib, joint_calib, track_cfg)
+    return judged_report(rollout.id, physical, client)
 
 
 def save_calibrations(path, idm: IdmCalibration, joints: JointCalibration,

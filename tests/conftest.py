@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from failsynth.config import PipelineConfig
+from failsynth import pipeline
 from failsynth.pipeline import sample_scene
 from failsynth.verify import calibrate_idm, calibrate_joints, OraclePredictor
 from failsynth.world import script_success, synthesize_observations
@@ -17,6 +18,19 @@ def recursion_limit_kept():
     left = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     assert left == limit, f"the test left the recursion limit at {left}, not {limit}"
+
+
+@pytest.fixture
+def clients(monkeypatch):
+    """Every semantic client cmd_verify builds."""
+    made = []
+    build = pipeline.client_from_endpoint
+
+    def recording(*args):
+        made.append(build(*args))
+        return made[-1]
+    monkeypatch.setattr(pipeline, "client_from_endpoint", recording)
+    return made
 
 
 @pytest.fixture(scope="session")

@@ -816,18 +816,6 @@ class TestHungJudge:
 
 
 class TestJudgeLifetime:
-    @pytest.fixture
-    def clients(self, monkeypatch):
-        """Every semantic client cmd_verify builds."""
-        made = []
-        build = pipeline.client_from_endpoint
-
-        def recording(*args):
-            made.append(build(*args))
-            return made[-1]
-        monkeypatch.setattr(pipeline, "client_from_endpoint", recording)
-        return made
-
     def _verify(self, workdir, tmp_path):
         script = tmp_path / "judge.py"
         script.write_text(ANSWER_EVERY_LINE)
@@ -845,8 +833,30 @@ class TestJudgeLifetime:
                                                      clients, monkeypatch):
         def broken(*args, **kwargs):
             raise ValidationError("verifier broke")
-        monkeypatch.setattr(pipeline, "verify_rollout", broken)
+        monkeypatch.setattr(pipeline, "verify_physical", broken)
         assert self._verify(workdir, tmp_path) == 4
+        (client,) = clients
+        assert client.proc.returncode is not None
+
+    def test_pipe_judge_is_stopped_when_checks_fail_during_its_start(
+            self, workdir, tmp_path, clients, monkeypatch):
+        """A physical check raises while candidates wait for a judge that is
+        slow to start: exit 4, no output file, and a judge that has exited."""
+        check, calls = pipeline.verify_physical, []
+
+        def breaks_fifth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise ValidationError("verifier broke")
+            return check(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "verify_physical", breaks_fifth)
+        script = tmp_path / "judge.py"
+        script.write_text("import time; time.sleep(0.5)\n" + ANSWER_EVERY_LINE)
+        before = sorted(os.listdir(tmp_path))
+        assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                    workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                    "--endpoint", f"pipe:{sys.executable} {script}", "--seed", 11) == 4
+        assert sorted(os.listdir(tmp_path)) == before
         (client,) = clients
         assert client.proc.returncode is not None
 

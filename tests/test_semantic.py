@@ -24,6 +24,11 @@ def _req(outcome="fail", artifacts=None):
     }
 
 
+def _judge(client, request):
+    client.send(request)
+    return client.receive()
+
+
 class TestMockJudgment:
     def test_clean_failure(self):
         resp = mock_judgment(_req())
@@ -67,24 +72,30 @@ class TestPipeClient:
     def test_round_trip(self):
         client = PipeClient([sys.executable, "-c", _JUDGE_SCRIPT])
         try:
-            resp = client.judge(_req())
+            resp = _judge(client, _req())
             assert resp["valid_failure"] is True
             assert resp["rationale"] == "external"
-            resp = client.judge(_req(outcome="success"))
+            resp = _judge(client, _req(outcome="success"))
             assert resp["valid_failure"] is False
         finally:
             client.close()
 
     def test_dead_process_raises_transport_error(self):
         client = PipeClient([sys.executable, "-c", "pass"])
-        with pytest.raises(TransportError):
-            client.judge(_req())
+        try:
+            with pytest.raises(TransportError):
+                _judge(client, _req())
+        finally:
+            client.close()
 
     def test_garbage_response_raises_transport_error(self):
         client = PipeClient([sys.executable, "-c",
                              "import sys; sys.stdin.readline(); print('not json')"])
-        with pytest.raises(TransportError):
-            client.judge(_req())
+        try:
+            with pytest.raises(TransportError):
+                _judge(client, _req())
+        finally:
+            client.close()
 
     def test_silent_judge_times_out(self):
         client = PipeClient([sys.executable, "-c",
@@ -92,7 +103,7 @@ class TestPipeClient:
         try:
             start = time.monotonic()
             with pytest.raises(TransportError, match="did not answer"):
-                client.judge(_req())
+                _judge(client, _req())
             assert 0.3 <= time.monotonic() - start < 5
         finally:
             client.close()
@@ -109,11 +120,11 @@ class TestPipeClient:
         client = PipeClient([sys.executable, "-c", late], timeout=0.2)
         try:
             with pytest.raises(TransportError):
-                client.judge(_req())
+                _judge(client, _req())
             time.sleep(0.8)  # the late reply is in the pipe now
             start = time.monotonic()
             with pytest.raises(TransportError, match="earlier request"):
-                client.judge(_req())
+                _judge(client, _req())
             assert time.monotonic() - start < 0.1
         finally:
             client.close()
@@ -127,8 +138,8 @@ class TestPipeClient:
                    "sys.stdout.flush()\n")
         client = PipeClient([sys.executable, "-c", chunked], timeout=5)
         try:
-            assert client.judge(_req()) == {"valid_failure": True, "visual_ok": True,
-                                            "rationale": "x"}
+            assert _judge(client, _req()) == {"valid_failure": True,
+                                              "visual_ok": True, "rationale": "x"}
         finally:
             client.close()
 
@@ -141,7 +152,7 @@ class TestHttpClient:
     def test_unreachable_endpoint_raises_transport_error(self):
         client = HttpClient("http://127.0.0.1:1/judge", timeout=0.5)
         with pytest.raises(TransportError):
-            client.judge(_req())
+            _judge(client, _req())
 
 
 class TestEndpointDispatch:

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import stat
+import sys
 import threading
 import tracemalloc
 
@@ -46,8 +47,23 @@ def batches(tmp_path_factory):
                                 d / "retained.jsonl")
         assert m["retained"] == n
         pipeline.cmd_label(CFG, d / "retained.jsonl", d / "labeled.jsonl")
+        (d / "slow_judge.py").write_text(SLOW_START_JUDGE)
         out[n] = d
     return out
+
+
+# a pipe judge slow to start: verify fills its lookahead queue meanwhile; an
+# unbounded queue would hold every candidate of either batch by the first reply
+SLOW_START_JUDGE = (
+    "import json, sys, time\n"
+    "time.sleep(1.0)\n"
+    "for line in sys.stdin:\n"
+    "    print(json.dumps({'valid_failure': True, 'visual_ok': True}), flush=True)\n")
+
+
+def _slow_start_judged(d):
+    endpoint = f"pipe:{sys.executable} {d / 'slow_judge.py'}"
+    return PipelineConfig(seed=808, semantic_endpoint=endpoint)
 
 
 STAGES = {
@@ -56,6 +72,8 @@ STAGES = {
                                                  d / "out.jsonl"),
     "verify": lambda d, n: pipeline.cmd_verify(CFG, d / "cands.jsonl",
                                                d / "calib.json", d / "out.jsonl"),
+    "verify-pipe-slow-start": lambda d, n: pipeline.cmd_verify(
+        _slow_start_judged(d), d / "cands.jsonl", d / "calib.json", d / "out.jsonl"),
     "label": lambda d, n: pipeline.cmd_label(CFG, d / "retained.jsonl",
                                              d / "out.jsonl"),
     "recover": lambda d, n: pipeline.cmd_recover(CFG, d / "labeled.jsonl",
