@@ -101,7 +101,7 @@ def test_six_stage_tree_bytes(tree):
 
 
 def test_evaluate_and_recover_bytes_for_fixed_predictions(tree, tmp_path):
-    ids = [json.loads(line)["id"] for line in (tree / "labeled.jsonl").open()]
+    ids = [json.loads(line)["id"] for line in (tree / "labeled.jsonl").read_text().splitlines()]
     assert ids == list(PREDICTIONS)
     preds = tmp_path / "predictions.jsonl"
     preds.write_text("".join(json.dumps({"id": i, "pred_text": t}) + "\n"
