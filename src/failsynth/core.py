@@ -114,10 +114,10 @@ class Range(NamedTuple):
                 math.nextafter(self.hi, -inf) if self.hi_open or self.hi == inf else self.hi)
 
 
-def check_order(a: str, u, b: str, v, strict=False, error=ValidationError) -> None:
+def check_order(a: str, u, b: str, v, strict=False) -> None:
     """The cross-field rule u <= v (u < v if strict) on fields a and b."""
     if u >= v if strict else u > v:
-        raise error(f"{a} {u!r} must be {'<' if strict else '<='} {b} {v!r}")
+        raise ValidationError(f"{a} {u!r} must be {'<' if strict else '<='} {b} {v!r}")
 
 
 def _bounds(tp, name: str, index=None, size=None) -> list:
@@ -188,11 +188,11 @@ class Record:
     key takes the field's default, or is a SchemaError when the field has
     none. to_dict gives lists for tuples and arrays, and an enum's value.
     Construction checks each declared Range, then the class's own
-    __post_init__ (its cross-field rules), raising `class C(Record, error=E)`'s
-    E (ValidationError by default); from_dict prefixes the dotted path.
+    __post_init__ (its cross-field rules), raising ValidationError; from_dict
+    prefixes the dotted path.
     """
 
-    def __init_subclass__(cls, error=ValidationError, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         bounds = [b for n, tp in typing.get_type_hints(cls, include_extras=True).items()
                   for b in _bounds(tp, n)]
@@ -205,10 +205,11 @@ class Record:
                     i, v = next(((k, x) for k, x in v.items() if not lo <= x <= hi), (i, lo))
                 elif i is not None:
                     if len(v) != size:
-                        raise error(f"{n} must hold {size} numbers, got {v!r}")
+                        raise ValidationError(f"{n} must hold {size} numbers, got {v!r}")
                     v = v[i]
                 if v is not None and not lo <= v <= hi:
-                    raise error(f"{n}{'' if i is None else f'[{i!r}]'} must lie in {r}, got {v!r}")
+                    raise ValidationError(
+                        f"{n}{'' if i is None else f'[{i!r}]'} must lie in {r}, got {v!r}")
             hook(self)
         cls.__post_init__ = __post_init__
         dataclass(frozen=True)(cls)
@@ -244,6 +245,7 @@ _FAR = Range(-1e3, 1e3)
 STATE_COLUMNS = {**dict.fromkeys(POSE_FIELDS, _FAR), "gripper": Range(0, 1)}
 ACTION_COLUMNS = {**dict.fromkeys(DELTA_FIELDS, _FAR), "gripper_cmd": Range(0, 1)}
 GRIPPER = 6  # column of the gripper state / command in both arrays
+GRIPPER_THRESHOLD = 0.5  # a gripper value below it is closed, at or above it open
 _COLUMNS = {"state": STATE_COLUMNS, "action": ACTION_COLUMNS}
 _LIMITS = {kind: np.array([r.closed() for r in columns.values()]).T.copy()
            for kind, columns in _COLUMNS.items()}  # (lowest, highest) per column
@@ -420,9 +422,9 @@ def crossings(channel: Sequence[float], threshold: float) -> list[int]:
     return [int(t) for t in np.nonzero(side[1:] != side[:-1])[0] + 1]
 
 
-def detect_keyframes(rollout: Rollout, threshold: float = 0.5) -> list[int]:
+def detect_keyframes(rollout: Rollout) -> list[int]:
     """Timesteps where the gripper transitions between open and close."""
-    return crossings(rollout.gripper_channel(), threshold)
+    return crossings(rollout.gripper_channel(), GRIPPER_THRESHOLD)
 
 
 def state_diff(rollout: Rollout, t: int, d: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto distinct exit codes: schema errors (2), transport
-errors (3), validation failures (4); a missing or non-file path is 4 too.
-Any other exception, a bare ValueError included, is a bug: exit 1 and a traceback.
+The CLI maps these onto distinct exit codes: SchemaError (2), TransportError
+(3), ValidationError and its InsufficientTrackingError (4); a missing or
+non-file path is 4 too. Any other exception, a bare ValueError included, is a
+bug: exit 1 and a traceback.
 """
 
 
@@ -23,14 +24,6 @@ class TransportError(FailSynthError):
 
 class ValidationError(FailSynthError, ValueError):
     """A precondition or invariant check failed."""
-
-
-class SceneError(ValidationError):
-    """Scene geometry is unreachable or inconsistent."""
-
-
-class CameraError(ValidationError):
-    """Projection is undefined (point at or behind the camera plane)."""
 
 
 class InsufficientTrackingError(ValidationError):

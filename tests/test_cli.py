@@ -19,6 +19,7 @@ from failsynth.errors import ValidationError
 from failsynth.rollout_io import read_records
 
 from test_labels import label_texts
+from test_semantic import serve_raw
 
 
 def _run(*argv):
@@ -769,6 +770,18 @@ class TestQuarantine:
                     "--manifest", tmp_path / "m.json",
                     "--endpoint", f"pipe:{sys.executable} {script}",
                     "--seed", 11) == 0
+        m = json.loads((tmp_path / "m.json").read_text())
+        assert m["quarantined"] == m["generated"] == 12
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_http_reply_quarantines(self, workdir, tmp_path, capsys):
+        """An HTTP judge whose reply is not HTTP has each candidate
+        quarantined, without a traceback."""
+        with serve_raw(b"garbage\r\n\r\n") as url:
+            assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
+                        workdir / "calib.json", "-o", tmp_path / "r.jsonl",
+                        "--manifest", tmp_path / "m.json", "--endpoint", url,
+                        "--seed", 11) == 0
         m = json.loads((tmp_path / "m.json").read_text())
         assert m["quarantined"] == m["generated"] == 12
         assert "Traceback" not in capsys.readouterr().err

@@ -20,7 +20,7 @@ import pytest
 import failsynth.pipeline  # noqa: F401  (defines every Record subclass)
 from failsynth.config import PipelineConfig, SceneConfig
 from failsynth.core import ACTION_COLUMNS, STATE_COLUMNS, Range, Record, decode
-from failsynth.errors import SceneError, ValidationError
+from failsynth.errors import ValidationError
 from failsynth.perturb import PerturbationSpec
 from failsynth.world import ArtifactSpec, CameraSpec, SceneSpec
 
@@ -158,16 +158,16 @@ def test_optional_tuple_and_dict_bounds():
 def test_bounds_run_before_the_cross_field_rule():
     """A NaN attach_strength is a range fault; comparing it in the
     partial_floor rule would pass silently."""
-    with pytest.raises(SceneError, match="^attach_strength must lie"):
+    with pytest.raises(ValidationError, match="^attach_strength must lie"):
         SceneSpec((0.5, 0.1, 0.02), (0.35, -0.1, 0.02), attach_strength=math.nan)
-    with pytest.raises(SceneError, match="^partial_floor 0.7 must be < attach_strength 0.7"):
+    with pytest.raises(ValidationError, match="^partial_floor 0.7 must be < attach_strength 0.7"):
         SceneSpec((0.5, 0.1, 0.02), (0.35, -0.1, 0.02), partial_floor=0.7)
 
 
 @pytest.mark.parametrize("pos", [(0.5, 0.1), (0.5, 0.1, 0.02, 0.0), np.zeros(2)],
                          ids=["short", "long", "short-array"])
 def test_scene_tuple_length_is_a_scene_error(pos):
-    with pytest.raises(SceneError, match="^object_pos must hold 3 numbers"):
+    with pytest.raises(ValidationError, match="^object_pos must hold 3 numbers"):
         SceneSpec(pos, (0.35, -0.1, 0.02))
 
 

@@ -1,4 +1,9 @@
+import contextlib
+import json
+import select
+import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -148,11 +153,74 @@ class TestPipeClient:
             PipeClient(["/nonexistent/judge-binary"])
 
 
+def _read_request(conn):
+    """Read one HTTP request, headers and Content-Length body, off conn."""
+    with conn.makefile("rb") as f:
+        length = 0
+        while (line := f.readline()) not in (b"\r\n", b""):
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":")[1])
+        f.read(length)
+
+
+@contextlib.contextmanager
+def serve_raw(reply: bytes):
+    """The URL of an endpoint on 127.0.0.1 that reads each request and sends
+    the bytes reply, whatever they are, then closes the connection."""
+    server = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            if select.select([server], [], [], 0.05)[0]:
+                conn, _ = server.accept()
+                with conn:
+                    conn.settimeout(5)
+                    _read_request(conn)
+                    conn.sendall(reply)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.getsockname()[1]}/judge"
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
+
+
+def _http_reply(body: bytes, length=None) -> bytes:
+    return (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % (len(body) if length is None else length)
+            + body)
+
+
+# replies that are not HTTP, or not a whole UTF-8 JSON body
+MALFORMED_REPLIES = {
+    "bad-status-line": b"garbage\r\n\r\n",
+    "truncated-body": _http_reply(b'{"valid_failure": true', length=100),
+    "non-utf8-body": _http_reply(b"\xff\xfe"),
+}
+
+
 class TestHttpClient:
     def test_unreachable_endpoint_raises_transport_error(self):
         client = HttpClient("http://127.0.0.1:1/judge", timeout=0.5)
         with pytest.raises(TransportError):
             _judge(client, _req())
+
+    def test_round_trip(self):
+        answer = {"valid_failure": True, "visual_ok": False, "rationale": "http"}
+        with serve_raw(_http_reply(json.dumps(answer).encode())) as url:
+            assert _judge(HttpClient(url, timeout=5), _req()) == answer
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(),
+                             ids=MALFORMED_REPLIES.keys())
+    def test_malformed_reply_raises_transport_error(self, reply):
+        with serve_raw(reply) as url:
+            with pytest.raises(TransportError, match="^judge endpoint failed"):
+                _judge(HttpClient(url, timeout=5), _req())
 
 
 class TestEndpointDispatch:

@@ -112,9 +112,10 @@ def global_continuity_loop(points, masks, cfg):
                         + 0.3 * math.exp(-q_jit / cfg.tau_jitter)))
 
 
-def idm_errors_loop(rollout, predictor, d, radian_weight):
+def idm_errors_loop(rollout, predict, d, radian_weight):
+    """_idm_errors with predict(rollout, t, d) giving one step's prediction."""
     w = np.array([1.0, 1.0, 1.0, radian_weight, radian_weight, radian_weight])
-    diffs = np.stack([predictor(rollout, t, d) - state_diff(rollout, t, d)
+    diffs = np.stack([predict(rollout, t, d) - state_diff(rollout, t, d)
                       for t in range(rollout.horizon - d + 1)])
     return np.linalg.norm(diffs * w, axis=1), diffs
 
@@ -162,7 +163,7 @@ def observations_loop(rollout, scene, artifacts, seed):
     return points, masks, q
 
 
-def noisy_loop(sigma_xyz, sigma_rpy, bias, seed):
+def noisy_loop(sigma_xyz, sigma_rpy, seed):
     """Per-(id, t, d) seeded noisy predictor, one step per call."""
     def predict(rollout, t, d):
         key = zlib.crc32(f"{rollout.id}:{t}:{d}".encode())
@@ -170,7 +171,7 @@ def noisy_loop(sigma_xyz, sigma_rpy, bias, seed):
                                                            spawn_key=(4, key)))
         noise = np.concatenate([rng.normal(0.0, sigma_xyz, 3),
                                 rng.normal(0.0, sigma_rpy, 3)])
-        return state_diff(rollout, t, d) + np.asarray(bias, float) + noise
+        return state_diff(rollout, t, d) + noise
     return predict
 
 
@@ -360,15 +361,14 @@ class TestIdmErrorsMatchLoop:
     def test_oracle_bit_equal(self, candidates, d):
         for _, cand in candidates:
             errs, diffs = _idm_errors(cand, OraclePredictor(), d, 0.1)
-            want_errs, want_diffs = idm_errors_loop(cand, OraclePredictor(), d, 0.1)
+            want_errs, want_diffs = idm_errors_loop(cand, state_diff, d, 0.1)
             assert np.array_equal(errs, want_errs)
             assert np.array_equal(diffs, want_diffs)
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_noisy_bit_equal(self, candidates, d):
-        bias = [0.01, 0.0, -0.02, 0.0, 0.3, 0.0]
-        fast = NoisyPredictor(sigma_xyz=0.002, sigma_rpy=0.01, bias=bias, seed=5)
-        loop = noisy_loop(0.002, 0.01, bias, 5)
+        fast = NoisyPredictor(sigma_xyz=0.002, sigma_rpy=0.01, seed=5)
+        loop = noisy_loop(0.002, 0.01, 5)
         for _, cand in candidates:
             errs, diffs = _idm_errors(cand, fast, d, 0.1)
             want_errs, want_diffs = idm_errors_loop(cand, loop, d, 0.1)

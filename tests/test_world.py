@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from failsynth.core import GRIPPER, detect_keyframes
-from failsynth.errors import CameraError, SceneError, ValidationError
+from failsynth.errors import ValidationError
 from failsynth.rollout_io import dumps_rollout
 from failsynth.world import (FRANKA_Q_MAX, FRANKA_Q_MIN, ArtifactSpec,
                              CameraSpec, SceneSpec, _smooth_profile,
@@ -45,7 +45,7 @@ class TestCamera:
 
     def test_behind_camera(self):
         cam = CameraSpec()
-        with pytest.raises(CameraError):
+        with pytest.raises(ValidationError, match="^point at or behind the camera plane$"):
             cam.project(np.array([[0.45, 0.0, 0.95]]))
 
     def test_dict_round_trip(self):
@@ -55,7 +55,7 @@ class TestCamera:
 
 class TestSceneSpec:
     def test_workspace_bounds(self):
-        with pytest.raises(SceneError):
+        with pytest.raises(ValidationError):
             _scene(object_pos=(2.0, 0.0, 0.02))
 
     @pytest.mark.parametrize("kw", [
@@ -64,15 +64,15 @@ class TestSceneSpec:
         dict(grasp_tolerance=np.nan)],
         ids=["object_pos-nan", "goal_pos-nan", "short", "long", "grasp_tolerance-nan"])
     def test_rejected_scene(self, kw):
-        with pytest.raises(SceneError):
+        with pytest.raises(ValidationError):
             _scene(**kw)
 
     def test_grasp_params(self):
-        with pytest.raises(SceneError):
+        with pytest.raises(ValidationError, match="^grasp_tolerance must lie"):
             _scene(grasp_tolerance=0.0)
-        with pytest.raises(SceneError):
+        with pytest.raises(ValidationError, match="^attach_strength must lie"):
             _scene(attach_strength=1.5)
-        with pytest.raises(SceneError):
+        with pytest.raises(ValidationError, match="^partial_floor 0.9 must be <"):
             _scene(partial_floor=0.9)  # must stay below attach_strength
 
     def test_start_state_deterministic(self):
