@@ -408,23 +408,22 @@ class Rollout:
         return self.states[:, :GRIPPER]
 
 
-def crossings(channel: Sequence[float], threshold: float) -> list[int]:
-    """Indices t where the channel crosses threshold between t-1 and t.
+def crossings(channel: Sequence[float]) -> list[int]:
+    """Indices t where a gripper channel crosses GRIPPER_THRESHOLD between t-1
+    and t.
 
     The returned index is the first sample on the new side of the threshold.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold {threshold} outside (0, 1)")
     g = np.asarray(channel, dtype=float)
     if g.size < 2:
         raise ValidationError("need at least 2 samples to detect a crossing")
-    side = g >= threshold
+    side = g >= GRIPPER_THRESHOLD
     return [int(t) for t in np.nonzero(side[1:] != side[:-1])[0] + 1]
 
 
 def detect_keyframes(rollout: Rollout) -> list[int]:
     """Timesteps where the gripper transitions between open and close."""
-    return crossings(rollout.gripper_channel(), GRIPPER_THRESHOLD)
+    return crossings(rollout.gripper_channel())
 
 
 def state_diff(rollout: Rollout, t: int, d: int) -> np.ndarray:

@@ -265,8 +265,8 @@ def rollout_from_record(rec: dict) -> Rollout:
             tracks = TrackSet(points=_number_array(rec["tracks"]["points"], "tracks.points"),
                               masks=_number_array(rec["tracks"]["masks"], "tracks.masks"))
         return Rollout._checked(
-            id=rec["id"],
-            task=rec["task"],
+            id=decode(str, rec["id"], "id"),
+            task=decode(str, rec["task"], "task"),
             states=_step_rows(rec["states"], "state"),
             actions=_step_rows(rec["actions"], "action"),
             joints=None if joints is None else JointTrace(_number_array(joints, "joints")),

@@ -161,6 +161,11 @@ class HttpClient(_Client):
     """POSTs each request as JSON to a fixed endpoint when its reply is received."""
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT_S):
+        import urllib.request
+        try:  # receive builds a Request per reply: check here that the URL makes one
+            urllib.request.Request(url)
+        except ValueError as exc:
+            raise ValidationError(f"semantic_endpoint {url!r}: {exc}") from exc
         self.url = url
         self.timeout = timeout
 
@@ -187,7 +192,10 @@ def client_from_endpoint(endpoint: str, floors: Optional[dict] = None):
     if endpoint == "mock":
         return MockSemanticVerifier(floors)
     if endpoint.startswith("pipe:"):
-        return PipeClient(endpoint[5:].split())
+        cmd = endpoint[5:].split()
+        if not cmd:
+            raise ValidationError(f"semantic_endpoint {endpoint!r}: pipe: needs a command")
+        return PipeClient(cmd)
     if endpoint.startswith(("http:", "https:")):
         return HttpClient(endpoint)
     raise ValidationError(f"semantic_endpoint {endpoint!r}: want mock, pipe:<cmd> or http(s):<url>")

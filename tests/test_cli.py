@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import failsynth
-from failsynth import pipeline
+from failsynth import pipeline, verify
 from failsynth.cli import main
 from failsynth.config import PipelineConfig
 from failsynth.core import FailureType
@@ -436,12 +436,18 @@ class TestExitCodes:
         assert err.startswith("validation error: ") and "Traceback" not in err
         assert all(name in err for name in names), err
 
-    def test_unknown_endpoint_is_4(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("endpoint, reason", [
+        pytest.param("bogus", "want mock, ", id="bogus"),
+        pytest.param("pipe:", "pipe: needs a command", id="empty-pipe"),
+        pytest.param("pipe:   ", "pipe: needs a command", id="blank-pipe"),
+        pytest.param("http://[::1", "Invalid IPv6 URL", id="bad-url")])
+    def test_unknown_endpoint_is_4(self, workdir, tmp_path, capsys, endpoint, reason):
         assert _run("verify", "-i", workdir / "cands.jsonl", "--calibration",
                     workdir / "calib.json", "-o", tmp_path / "r.jsonl",
-                    "--endpoint", "bogus") == 4
-        assert capsys.readouterr().err.startswith(
-            "validation error: semantic_endpoint 'bogus': want mock, ")
+                    "--endpoint", endpoint) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: semantic_endpoint {endpoint!r}: {reason}")
+        assert "Traceback" not in err
         assert not (tmp_path / "r.jsonl").exists()
 
 
@@ -495,6 +501,8 @@ class TestMalformedRecords:
         pytest.param(_set("actions", 9, 6, -0.5), 4, id="gripper_cmd-negative"),
         pytest.param(_set_field("states", []), 4, id="no-states"),
         pytest.param(lambda r: r["states"].pop(), 4, id="length"),
+        pytest.param(_set_field("id", 5), 2, id="number-id"),
+        pytest.param(_set_field("task", None), 2, id="null-task"),
     ])
     def test_exit_code(self, workdir, tmp_path, capsys, mutate, code):
         path = _mutated_candidates(workdir, tmp_path, mutate)
@@ -846,7 +854,7 @@ class TestJudgeLifetime:
                                                      clients, monkeypatch):
         def broken(*args, **kwargs):
             raise ValidationError("verifier broke")
-        monkeypatch.setattr(pipeline, "verify_physical", broken)
+        monkeypatch.setattr(verify, "verify_physical", broken)
         assert self._verify(workdir, tmp_path) == 4
         (client,) = clients
         assert client.proc.returncode is not None
@@ -855,14 +863,14 @@ class TestJudgeLifetime:
             self, workdir, tmp_path, clients, monkeypatch):
         """A physical check raises while candidates wait for a judge that is
         slow to start: exit 4, no output file, and a judge that has exited."""
-        check, calls = pipeline.verify_physical, []
+        check, calls = verify.verify_physical, []
 
         def breaks_fifth(*args, **kwargs):
             calls.append(1)
             if len(calls) == 5:
                 raise ValidationError("verifier broke")
             return check(*args, **kwargs)
-        monkeypatch.setattr(pipeline, "verify_physical", breaks_fifth)
+        monkeypatch.setattr(verify, "verify_physical", breaks_fifth)
         script = tmp_path / "judge.py"
         script.write_text("import time; time.sleep(0.5)\n" + ANSWER_EVERY_LINE)
         before = sorted(os.listdir(tmp_path))

@@ -144,24 +144,22 @@ class TestJointTraceAndTracks:
 
 class TestCrossings:
     def test_single_closing(self):
-        assert crossings([1.0, 1.0, 0.0, 0.0], 0.5) == [2]
+        assert crossings([1.0, 1.0, 0.0, 0.0]) == [2]
 
     def test_multiple(self):
-        assert crossings([1.0, 0.0, 1.0], 0.5) == [1, 2]
+        assert crossings([1.0, 0.0, 1.0]) == [1, 2]
 
     def test_none(self):
-        assert crossings([1.0, 1.0], 0.5) == []
+        assert crossings([1.0, 1.0]) == []
 
     def test_boundary_sample_counts_as_open_side(self):
-        # g == threshold sits on the >= side, so the crossing lands one later
-        assert crossings([1.0, 0.5, 0.0], 0.5) == [2]
-        assert crossings([0.4, 0.5], 0.5) == [1]
+        # g == threshold (0.5) sits on the >= side, so the crossing lands one later
+        assert crossings([1.0, 0.5, 0.0]) == [2]
+        assert crossings([0.4, 0.5]) == [1]
 
-    def test_threshold_domain(self):
+    def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
-            crossings([1.0, 0.0], 0.0)
-        with pytest.raises(ValidationError):
-            crossings([1.0], 0.5)
+            crossings([1.0])
 
 
 class TestKeyframesAndDiff:

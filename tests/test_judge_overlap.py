@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import failsynth
-from failsynth import pipeline
+from failsynth import pipeline, verify
 from failsynth.config import PipelineConfig
 from failsynth.errors import TransportError
 from failsynth.semantic import MockSemanticVerifier, PipeClient
@@ -95,7 +95,7 @@ def test_outputs_do_not_depend_on_judge_timing(inputs, tmp_path, clients):
         out = tmp_path / name
         out.mkdir()
         m = _verify(seed, d, out)
-        assert m["generated"] == 50 > pipeline.LOOKAHEAD
+        assert m["generated"] == 50 > verify.LOOKAHEAD
         assert m["quarantined"] == 0 and 0 < m["retained"] < 50
         outputs[name] = [(out / f).read_bytes() for f in ("retained.jsonl", "manifest.json")]
     assert [c.proc.returncode for c in clients] == [0, 0, 0]  # one request in flight
@@ -235,12 +235,12 @@ def test_a_judge_that_is_always_ready_sees_one_candidate_at_a_time(
             return super().receive()
     monkeypatch.setattr(pipeline, "client_from_endpoint",
                         lambda endpoint, floors=None: Recording(floors))
-    check = pipeline.verify_physical
+    check = verify.verify_physical
 
     def physical(*args, **kwargs):
         events.append("physical")
         return check(*args, **kwargs)
-    monkeypatch.setattr(pipeline, "verify_physical", physical)
+    monkeypatch.setattr(verify, "verify_physical", physical)
     m = pipeline.cmd_verify(PipelineConfig(seed=11), seed11 / "cands.jsonl",
                             seed11 / "calib.json", tmp_path / "r.jsonl")
     assert events == ["send", "physical", "receive"] * m["generated"]

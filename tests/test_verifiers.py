@@ -1,18 +1,22 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failsynth.core import JointTrace, TrackSet, state_diffs
-from failsynth.errors import InsufficientTrackingError, SchemaError, ValidationError
-from failsynth.semantic import MockSemanticVerifier
+from failsynth import verify
+from failsynth.core import FailureType, JointTrace, TrackSet, state_diffs
+from failsynth.errors import (InsufficientTrackingError, SchemaError, TransportError,
+                              ValidationError)
+from failsynth.pipeline import _with_observations, perturb_one
+from failsynth.semantic import MockSemanticVerifier, mock_judgment
 from failsynth.tracks import (TrackScoreConfig, fit_affine, quantile_sorted,
                               score_tracks)
 from failsynth.verify import (IdmCalibration, NoisyPredictor, OraclePredictor,
                               calibrate_idm, calibrate_joints, gate,
                               load_calibrations, predictor_from_spec, save_calibrations,
-                              verify_idm, verify_joints, verify_rollout)
+                              verify_idm, verify_joints, verify_rollout, verify_stream)
 from failsynth.world import ArtifactSpec, synthesize_observations
 
 
@@ -304,3 +308,108 @@ class TestVerifyRollout:
         assert not report.track_confident
         assert not report.track_pass
         assert not report.retained
+
+
+class ScriptedJudge:
+    """An in-process judge that answers by the mock rule. It is ready only
+    once the stream has read ready_after candidates, fails the replies
+    numbered in fail (from 1), and asserts one request in flight."""
+
+    def __init__(self, ready_after=0, fail=()):
+        self.ready_after, self.fail = ready_after, set(fail)
+        self.read = self.received = self.most_pending = 0
+        self.in_flight, self.sent = None, []
+
+    def feed(self, candidates):
+        for cand in candidates:
+            self.read += 1
+            yield cand
+
+    def send(self, request):
+        assert self.in_flight is None, "a second request in flight"
+        self.in_flight = request
+        self.sent.append(request["candidate_clip_ref"]["id"])
+
+    def ready(self):
+        return self.read >= self.ready_after
+
+    def receive(self):
+        request, self.in_flight = self.in_flight, None
+        assert request is not None, "no request in flight"
+        # the head is popped; with it, read - received entries were pending
+        self.most_pending = max(self.most_pending, self.read - self.received)
+        self.received += 1
+        if self.received in self.fail:
+            raise TransportError(f"reply {self.received} failed")
+        return mock_judgment(request)
+
+
+class TestVerifyStream:
+    @pytest.fixture(scope="class")
+    def candidates(self, demos, cfg):
+        """Demos and their failures, each under its own id, tagged by index."""
+        fails = [_with_observations(perturb_one(demo, cfg, i, ft)[0])
+                 for i, demo in enumerate(demos[:3]) for ft in FailureType]
+        pool = [*demos, *fails]
+        return [(replace(pool[i % len(pool)], id=f"cand-{i}"), i)
+                for i in range(verify.LOOKAHEAD + 8)]
+
+    def _stream(self, candidates, judge, calibrations, cfg):
+        idm, jc = calibrations
+        return list(verify_stream(judge.feed(candidates), OraclePredictor(), idm, jc,
+                                  judge, cfg.tracks))
+
+    @pytest.mark.parametrize("ready_after", [0, 1, 5, 12])
+    def test_input_order_one_request_in_flight(self, candidates, calibrations, cfg,
+                                               ready_after):
+        judge = ScriptedJudge(ready_after=ready_after)
+        out = self._stream(candidates[:15], judge, calibrations, cfg)
+        assert [tag for tag, _ in out] == list(range(15))
+        assert judge.sent == [c.id for c, _ in candidates[:15]]
+        assert judge.in_flight is None and judge.received == 15
+        assert judge.most_pending == max(ready_after, 1)
+        idm, jc = calibrations
+        for (cand, _), (_, report) in zip(candidates, out):
+            assert report == verify_rollout(cand, OraclePredictor(), idm, jc,
+                                            MockSemanticVerifier(), cfg.tracks)
+        assert {r.retained for _, r in out} == {True, False}
+
+    def test_at_most_lookahead_plus_one_pending(self, candidates, calibrations, cfg):
+        judge = ScriptedJudge(ready_after=10 ** 9)  # never ready
+        out = self._stream(candidates, judge, calibrations, cfg)
+        assert len(candidates) > verify.LOOKAHEAD + 1
+        assert judge.most_pending == verify.LOOKAHEAD + 1
+        assert [tag for tag, _ in out] == list(range(len(candidates)))
+
+    def test_transport_error_quarantines_only_its_candidate(self, candidates,
+                                                            calibrations, cfg):
+        judge = ScriptedJudge(ready_after=4, fail={3})
+        out = self._stream(candidates[:8], judge, calibrations, cfg)
+        assert [tag for tag, _ in out] == list(range(8))
+        assert isinstance(out[2][1], TransportError)
+        assert str(out[2][1]) == "reply 3 failed"
+        assert all(isinstance(r, verify.VerifierReport) for i, (_, r) in enumerate(out)
+                   if i != 2)
+        assert judge.received == 8
+
+    def test_verify_rollout_raises_the_transport_error(self, candidates,
+                                                       calibrations, cfg):
+        idm, jc = calibrations
+        with pytest.raises(TransportError, match="reply 1 failed"):
+            verify_rollout(candidates[0][0], OraclePredictor(), idm, jc,
+                           ScriptedJudge(fail={1}), cfg.tracks)
+
+    def test_physical_check_error_propagates(self, candidates, calibrations, cfg,
+                                             monkeypatch):
+        check, calls = verify.verify_physical, []
+
+        def breaks_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValidationError("verifier broke")
+            return check(*args, **kwargs)
+        monkeypatch.setattr(verify, "verify_physical", breaks_third)
+        judge = ScriptedJudge(ready_after=10 ** 9)
+        with pytest.raises(ValidationError, match="verifier broke"):
+            self._stream(candidates[:8], judge, calibrations, cfg)
+        assert judge.read == 3 and judge.received == 0
