@@ -29,9 +29,8 @@ from .perturb import (PerturbationSpec, draw_translation_offset,
                       inject_delay_close, inject_force_open, inject_translation,
                       inject_weak_close)
 from .recovery import map_to_primitives, replay_with_recovery
-from .rollout_io import (SourceRecord, loads_record, read_records,
-                         rollout_from_record, with_member, with_meta_member,
-                         write_json, write_records, write_rollouts)
+from .rollout_io import (read_records, rollout_from_record, with_member,
+                         with_meta_member, write_json, write_records, write_rollouts)
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
 # verify_rollout is not called here; perfbench's trace wraps pipeline.verify_rollout
@@ -92,6 +91,8 @@ def _rollouts(path) -> Iterator[Rollout]:
 
 def cmd_generate(cfg: PipelineConfig, n: int, out_path, manifest_path=None) -> dict:
     """Script n successful demonstrations."""
+    if n < 0:
+        raise ValidationError(f"n must lie in {Range(0)}, got {n}")
     write_rollouts(out_path, (script_success(sample_scene(cfg, i), horizon=cfg.horizon,
                                              rollout_id=f"demo-{i:05d}")
                               for i in range(n)))
@@ -146,7 +147,6 @@ def perturb_one(rollout: Rollout, cfg: PipelineConfig, index: int,
 def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> dict:
     """One candidate failure per (input rollout, failure type)."""
     inputs = resample_events = 0
-    per_type = {ft.value: 0 for ft in FAILURE_TYPES}
 
     def candidates():
         nonlocal inputs, resample_events
@@ -155,12 +155,12 @@ def cmd_perturb(cfg: PipelineConfig, in_path, out_path, manifest_path=None) -> d
             for ft in FAILURE_TYPES:
                 cand, resamples = perturb_one(ro, cfg, i, ft)
                 resample_events += resamples
-                per_type[ft.value] += 1
                 yield cand
 
     count = write_rollouts(out_path, candidates())
     return _manifest(cfg, manifest_path, stage="perturb", inputs=inputs,
-                     candidates=count, per_type=per_type,
+                     candidates=count,
+                     per_type=dict.fromkeys((ft.value for ft in FAILURE_TYPES), inputs),
                      translation_resamples=resample_events)
 
 
@@ -277,13 +277,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
             if not report.retained:
                 rejected += 1
                 continue
-            # what with_meta_member writes for the record, without holding its arrays
-            light = SourceRecord(meta=meta)
-            light.line = line
-            out = with_meta_member(light, "verifier", report.to_dict())
-            # not spliced: the whole record is encoded again
-            yield out if type(out) is str else with_meta_member(
-                loads_record(line), "verifier", report.to_dict())
+            yield with_meta_member(line, meta, "verifier", report.to_dict())
 
     client = client_from_endpoint(cfg.semantic_endpoint, cfg.verifier.visual_floors)
     try:

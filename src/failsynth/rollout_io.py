@@ -108,49 +108,45 @@ class SourceRecord(dict):
     __slots__ = ("line",)
 
 
-def _splice_line(rec: dict) -> Optional[str]:
-    """The source line of ``rec`` if a member may be appended to its text.
+def _splice_line(line: str) -> bool:
+    """Whether a member may be appended to the text of ``line``.
 
     A line holding ``NaN`` or ``Infinity`` (even inside a string) is not
     spliced: re-encoding it fails as it always did.
     """
-    line = getattr(rec, "line", None)
-    if line is None or "NaN" in line or "Infinity" in line:
-        return None
-    return line
+    return "NaN" not in line and "Infinity" not in line
 
 
-def with_member(rec: dict, key: str, value):
-    """``rec`` with ``key: value`` appended, for write_records.
+def with_member(rec: SourceRecord, key: str, value) -> str:
+    """The line write_records writes for ``rec`` with ``key: value`` appended.
 
-    A record from read_records without ``key`` becomes its source line with
-    the member appended to the text, which is what dumps_record writes for a
-    line dumps_record wrote; the line's other members keep their own
-    spacing and number spelling. Any other record becomes a new dict.
+    Without ``key``, that is the source line with the member appended to the
+    text, which is what dumps_record writes for a line dumps_record wrote;
+    the line's other members keep their own spacing and number spelling.
+    Otherwise the record is encoded again.
     """
-    line = _splice_line(rec)
-    if line is None or key in rec:
-        return {**rec, key: value}
+    line = rec.line
+    if key in rec or not _splice_line(line):
+        return dumps_record({**rec, key: value})
     return f'{line[:-1]}{"," if rec else ""}{json.dumps(key)}:{dumps_record(value)}}}'
 
 
-def with_meta_member(rec: dict, key: str, value):
-    """``rec`` with ``key: value`` appended to its ``meta`` object, for
-    write_records.
+def with_meta_member(line: str, meta, key: str, value) -> str:
+    """The line write_records writes for the object read from ``line``, whose
+    ``meta`` member is ``meta``, with ``key: value`` appended to ``meta``.
 
-    The member is spliced into the source line only when the line's last
-    member is ``meta``, a non-empty object without ``key`` written as
-    dumps_record writes it; then the result is what dumps_record writes for
-    the changed record. Any other record becomes a new dict.
+    The member is spliced into the line only when the line's last member is
+    ``meta``, a non-empty object without ``key`` written as dumps_record
+    writes it; then the result is what dumps_record writes for the changed
+    record. Otherwise the line is decoded and the record encoded again.
     """
-    line = _splice_line(rec)
-    meta = rec.get("meta")
-    if line is not None and type(meta) is dict and meta and key not in meta:
+    if type(meta) is dict and meta and key not in meta and _splice_line(line):
         tail = f'"meta":{dumps_record(meta)}}}'
         # after "," or "{" the tail's first quote opens the last top-level key
         if line.endswith(tail) and line[-len(tail) - 1] in ",{":
             return f'{line[:-2]},{json.dumps(key)}:{dumps_record(value)}}}}}'
-    return {**rec, "meta": {**rec.get("meta", {}), key: value}}
+    rec = loads_record(line)
+    return dumps_record({**rec, "meta": {**rec.get("meta", {}), key: value}})
 
 
 # orjson spells a float as repr does for this magnitude range; below it and

@@ -205,7 +205,7 @@ def joint_exceedance(trace: JointTrace, calib: JointCalibration) -> tuple[bool, 
 
 
 def calibrate_joints(success_rollouts: Sequence[Rollout], percentile: float = 0.95,
-                     margin: float = 2.0) -> JointCalibration:
+                     *, margin: float) -> JointCalibration:
     """Set tau_v/tau_a from pooled |qdot| and |qddot| over success demos; the
     joint limits are the Franka ranges."""
     if not success_rollouts:

@@ -219,6 +219,16 @@ class TestExitCodes:
         empty.write_text("")
         assert _run("calibrate", "-i", empty, "-o", tmp_path / "c.json") == 4
 
+    def test_negative_demo_count_is_4(self, tmp_path, capsys):
+        demos, manifest = tmp_path / "d.jsonl", tmp_path / "gen.json"
+        assert _run("generate", "-n", -1, "-o", demos, "--manifest", manifest) == 4
+        assert capsys.readouterr().err == (
+            "validation error: n must lie in [0, inf), got -1\n")
+        assert not demos.exists() and not manifest.exists()
+        assert _run("generate", "-n", 0, "-o", demos, "--manifest", manifest) == 0
+        assert demos.read_text() == ""
+        assert json.loads(manifest.read_text())["count"] == 0
+
     def test_missing_file_is_4(self, tmp_path):
         assert _run("calibrate", "-i", tmp_path / "nope.jsonl",
                     "-o", tmp_path / "c.json") == 4

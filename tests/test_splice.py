@@ -61,8 +61,18 @@ def _read_back(path, line):
     return rec
 
 
-def _line(result):
-    return result if isinstance(result, str) else dumps_record(result)
+def _retain(path, line, report):
+    """What verify writes for the record it read from line."""
+    rec = _read_back(path, line)
+    return with_meta_member(rec.line, rec.get("meta"), "verifier", report)
+
+
+# a leading member dumps_record spells 1.5: only a splice keeps "1.50"
+PAD = '{"_pad_":1.50'
+
+
+def _padded(line):
+    return PAD + ("}" if line == "{}" else "," + line[1:])
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +87,15 @@ def test_splice_of_a_canonical_line_equals_the_re_encoding(scratch, rec, text, r
     spliceable = "NaN" not in line and "Infinity" not in line
 
     labeled = with_member(_read_back(scratch, line), "label", text)
-    assert _line(labeled) == dumps_record(_label_oracle(rec, text))
-    assert isinstance(labeled, str) == (spliceable and "label" not in rec)
+    assert labeled == dumps_record(_label_oracle(rec, text))
+    labeled = with_member(_read_back(scratch, _padded(line)), "label", text)
+    assert labeled.startswith(PAD) == (spliceable and "label" not in rec)
 
     meta = rec.get("meta", {})
     if not isinstance(meta, dict):  # verify refuses such a record before
         return
-    retained = with_meta_member(_read_back(scratch, line), "verifier", report)
-    assert _line(retained) == dumps_record(_verifier_oracle(rec, report))
-    assert isinstance(retained, str) == (
+    assert _retain(scratch, line, report) == dumps_record(_verifier_oracle(rec, report))
+    assert _retain(scratch, _padded(line), report).startswith(PAD) == (
         spliceable and list(rec)[-1:] == ["meta"] and bool(meta)
         and "verifier" not in meta)
 
@@ -107,12 +117,11 @@ def _spaced(value) -> str:
                                lambda r: json.dumps(r, ensure_ascii=False)]))
 def test_splice_of_any_other_line_decodes_equal(scratch, rec, text, report, encode):
     line = encode(rec)
-    labeled = _line(with_member(_read_back(scratch, line), "label", text))
+    labeled = with_member(_read_back(scratch, line), "label", text)
     assert json.loads(labeled) == _label_oracle(rec, text)
     if not isinstance(rec.get("meta", {}), dict):
         return
-    retained = _line(with_meta_member(_read_back(scratch, line), "verifier", report))
-    assert json.loads(retained) == _verifier_oracle(rec, report)
+    assert json.loads(_retain(scratch, line, report)) == _verifier_oracle(rec, report)
 
 
 @pytest.mark.parametrize("line, want", [
@@ -123,7 +132,7 @@ def test_splice_of_any_other_line_decodes_equal(scratch, rec, text, report, enco
     ('{"a":"NaN"}', '{"a":"NaN","label":"L"}'),  # re-encoded, same bytes
 ])
 def test_label_cases(tmp_path, line, want):
-    assert _line(with_member(_read_back(tmp_path / "in.jsonl", line), "label", "L")) == want
+    assert with_member(_read_back(tmp_path / "in.jsonl", line), "label", "L") == want
 
 
 @pytest.mark.parametrize("line, want", [
@@ -139,13 +148,7 @@ def test_label_cases(tmp_path, line, want):
     ('{"meta":{"s":1},"a\\"meta":{"s":1}}', '{"meta":{"s":1,"verifier":1},"a\\"meta":{"s":1}}'),
 ])
 def test_verifier_cases(tmp_path, line, want):
-    rec = _read_back(tmp_path / "in.jsonl", line)
-    assert _line(with_meta_member(rec, "verifier", 1)) == want
-
-
-def test_record_not_from_a_file_is_re_encoded():
-    assert with_member({"a": 1}, "label", "L") == {"a": 1, "label": "L"}
-    assert with_meta_member({"meta": {"s": 1}}, "v", 1) == {"meta": {"s": 1, "v": 1}}
+    assert _retain(tmp_path / "in.jsonl", line, 1) == want
 
 
 def test_non_objects_are_read_as_they_are(tmp_path):
