@@ -1,5 +1,8 @@
 """Pipeline configuration: every tunable default in one serializable place.
 
+Each default is declared once: here, or in world and perturb for the scene's
+grasp parameters, the horizon, the perturbation window and the offset cap.
+Library defaults in verify, labels, metrics and recovery read this module.
 The config hash (sha256 of the canonical JSON form, truncated) is stamped
 into every output artifact so datasets and manifests are traceable.
 """
@@ -12,10 +15,11 @@ from dataclasses import field
 from typing import Annotated
 
 from .core import Range, Record, check_order
+from .perturb import OFFSET_CAP, PerturbationSpec
 from .rollout_io import read_json
 from .semantic import DEFAULT_VISUAL_FLOORS
 from .tracks import TrackScoreConfig
-from .world import WORKSPACE
+from .world import HORIZON, MIN_HORIZON, WORKSPACE, SceneSpec
 
 
 class SceneConfig(Record):
@@ -26,10 +30,10 @@ class SceneConfig(Record):
     goal_x: tuple[(WORKSPACE[0],) * 2] = (0.3, 0.55)
     goal_y: tuple[(WORKSPACE[1],) * 2] = (-0.2, 0.2)
     min_separation: Annotated[float, Range(0)] = 0.12
-    grasp_tolerance: Annotated[float, Range(0, lo_open=True)] = 0.01
-    attach_strength: Annotated[float, Range(0, 1, lo_open=True)] = 0.7
-    partial_floor: Annotated[float, Range(0, 1, hi_open=True)] = 0.2
-    slip_delay: Annotated[int, Range(0)] = 3
+    grasp_tolerance: Annotated[float, Range(0, lo_open=True)] = SceneSpec.grasp_tolerance
+    attach_strength: Annotated[float, Range(0, 1, lo_open=True)] = SceneSpec.attach_strength
+    partial_floor: Annotated[float, Range(0, 1, hi_open=True)] = SceneSpec.partial_floor
+    slip_delay: Annotated[int, Range(0)] = SceneSpec.slip_delay
 
     def __post_init__(self):
         for n in ("object_x", "object_y", "goal_x", "goal_y"):
@@ -39,13 +43,13 @@ class SceneConfig(Record):
 
 
 class PerturbConfig(Record):
-    window: Annotated[int, Range(1)] = 5
+    window: Annotated[int, Range(1)] = PerturbationSpec.window
     sigma: Annotated[float, Range(0, 1, lo_open=True)] = 0.02
     delay_min: Annotated[int, Range(0)] = 4
     delay_max: Annotated[int, Range(0)] = 10
     weak_min: Annotated[float, Range(0, 1, lo_open=True)] = 0.3
     weak_max: Annotated[float, Range(0, 1, lo_open=True)] = 0.6
-    offset_cap: Annotated[float, Range(0, 1, lo_open=True)] = 0.05
+    offset_cap: Annotated[float, Range(0, 1, lo_open=True)] = OFFSET_CAP
 
     def __post_init__(self):
         check_order("delay_min", self.delay_min, "delay_max", self.delay_max)
@@ -72,7 +76,7 @@ class LabelConfig(Record):
 
 class PipelineConfig(Record):
     seed: Annotated[int, Range(0)] = 0
-    horizon: Annotated[int, Range(20, 10_000)] = 60
+    horizon: Annotated[int, Range(MIN_HORIZON, 10_000)] = HORIZON
     semantic_endpoint: str = "mock"
     scene: SceneConfig = field(default_factory=SceneConfig)
     perturb: PerturbConfig = field(default_factory=PerturbConfig)

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import LabelConfig, SceneConfig
 from .core import FailureType
 from .errors import SchemaError
 
@@ -191,8 +192,9 @@ _SUMMARY_TEMPLATES = {
 _SUCCESS_SUMMARY = "The execution completed successfully."
 
 
-def generate_label(spec, bin_size: float = 0.01, attach_strength: float = 0.7,
-                   strength_margin: float = 0.1) -> FixLabel:
+def generate_label(spec, bin_size: float = LabelConfig.bin_size,
+                   attach_strength: float = SceneConfig.attach_strength,
+                   strength_margin: float = LabelConfig.strength_margin) -> FixLabel:
     """Deterministic fix label from the injected perturbation parameters.
 
     spec=None denotes an unperturbed success rollout. Translation corrections

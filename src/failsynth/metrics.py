@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .core import read_keys
 from .errors import ValidationError
 from .labels import FixLabel, LabelError, parse
@@ -97,8 +98,8 @@ def fuzzy_match(gt: FixLabel, pred: Optional[FixLabel]) -> float:
     return 0.5 if (gt.failure_type, gt.stage) == (pred.failure_type, pred.stage) else 0.0
 
 
-def correction_acc(gt: FixLabel, pred: FixLabel, cap: int = 3,
-                   delta_k: int = 2) -> float:
+def correction_acc(gt: FixLabel, pred: FixLabel, cap: int = PipelineConfig.cap,
+                   delta_k: int = PipelineConfig.delta_k) -> float:
     """Partial-credit correction accuracy on failure samples.
 
     Translation: (s_type + s_stage + s_x + s_y) / 4 with per-axis direction
@@ -126,8 +127,8 @@ def correction_acc(gt: FixLabel, pred: FixLabel, cap: int = 3,
     return (s_type + s_stage + s_k) / 3.0
 
 
-def evaluate_record(rec_id: str, gt_text: str, pred_text: str,
-                    cap: int = 3, delta_k: int = 2) -> dict:
+def evaluate_record(rec_id: str, gt_text: str, pred_text: str, cap: int = PipelineConfig.cap,
+                    delta_k: int = PipelineConfig.delta_k) -> dict:
     """The report entry of one pair; each label is parsed once."""
     gt = parse(gt_text)
     pred, err = None, None
@@ -146,8 +147,8 @@ def evaluate_record(rec_id: str, gt_text: str, pred_text: str,
             "bin_correct": binary_success(gt, pred, pred_text), "acc": acc}
 
 
-def evaluate_dataset(pairs: Sequence[tuple[str, str, str]],
-                     cap: int = 3, delta_k: int = 2) -> dict:
+def evaluate_dataset(pairs: Sequence[tuple[str, str, str]], cap: int = PipelineConfig.cap,
+                     delta_k: int = PipelineConfig.delta_k) -> dict:
     """Aggregate metrics over (id, gt_text, pred_text) triples.
 
     Acc averages over FAIL ground truths only; BinSucc over all pairs.

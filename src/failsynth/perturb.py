@@ -18,6 +18,7 @@ from .core import GRIPPER, GRIPPER_THRESHOLD, FailureType, Range, Record, Rollou
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
+OFFSET_CAP = 0.05  # m, the largest |offset_x| or |offset_y| a translation draw keeps
 
 
 class PerturbationSpec(Record):
@@ -128,7 +129,8 @@ def apply_perturbation(actions, spec: PerturbationSpec) -> np.ndarray:
 
 
 def inject_delay_close(rollout: Rollout, keyframe: int, delay_steps: int,
-                       window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
+                       window: int = PerturbationSpec.window,
+                       ) -> tuple[np.ndarray, PerturbationSpec]:
     """Hold the gripper open for delay_steps and shift closure later."""
     _require_closing_keyframe(rollout.actions, keyframe)
     spec = PerturbationSpec(FailureType.delay_close, keyframe, window=window,
@@ -137,7 +139,7 @@ def inject_delay_close(rollout: Rollout, keyframe: int, delay_steps: int,
 
 
 def inject_weak_close(rollout: Rollout, keyframe: int, strength_scale: float,
-                      window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
+                      window: int = PerturbationSpec.window) -> tuple[np.ndarray, PerturbationSpec]:
     """Scale closing depth down: cmd' = 1 - scale * (1 - cmd) from keyframe on."""
     _require_closing_keyframe(rollout.actions, keyframe)
     spec = PerturbationSpec(FailureType.weak_close, keyframe, window=window,
@@ -145,12 +147,11 @@ def inject_weak_close(rollout: Rollout, keyframe: int, strength_scale: float,
     return apply_perturbation(rollout.actions, spec), spec
 
 
-def inject_force_open(rollout: Rollout, keyframe: int,
-                      window: int = 5) -> tuple[np.ndarray, PerturbationSpec]:
+def inject_force_open(rollout: Rollout, keyframe: int, window: int = PerturbationSpec.window,
+                      ) -> tuple[np.ndarray, PerturbationSpec]:
     """Invert the gripper command in a window around the keyframe."""
     _require_closing_keyframe(rollout.actions, keyframe)
-    spec = PerturbationSpec(FailureType.force_open, keyframe, window=window,
-                            invert=True)
+    spec = PerturbationSpec(FailureType.force_open, keyframe, window=window, invert=True)
     return apply_perturbation(rollout.actions, spec), spec
 
 
@@ -178,7 +179,7 @@ def draw_translation_offset(sigma: float, seed: int, min_offset: float,
 
 
 def inject_translation(rollout: Rollout, keyframe: int, window: int, sigma: float,
-                       seed: int, min_offset: float, max_offset: float = 0.05,
+                       seed: int, min_offset: float, max_offset: float = OFFSET_CAP,
                        offsets: Optional[tuple[float, float]] = None,
                        ) -> tuple[np.ndarray, PerturbationSpec]:
     """Ramp a per-rollout x-y offset into the approach before the keyframe.

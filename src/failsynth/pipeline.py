@@ -34,8 +34,9 @@ from .rollout_io import (read_records, rollout_from_record, with_member,
 from .semantic import client_from_endpoint
 from .tracks import score_tracks
 # verify_rollout is not called here; perfbench's trace wraps pipeline.verify_rollout
-from .verify import (calibrate_idm, calibrate_joints, joint_exceedance, load_calibrations,
-                     predictor_from_spec, save_calibrations, verify_rollout, verify_stream)
+from .verify import (VERIFIER_BITS, calibrate_idm, calibrate_joints, joint_exceedance,
+                     load_calibrations, predictor_from_spec, save_calibrations, verify_rollout,
+                     verify_stream)
 from .world import ArtifactSpec, SceneSpec, resimulate, script_success, synthesize_observations
 
 log = logging.getLogger(__name__)
@@ -66,11 +67,9 @@ def sample_scene(cfg: PipelineConfig, index: int) -> SceneSpec:
             break
     else:
         raise ValidationError(f"scene.min_separation {sc.min_separation!r}: no pair that far apart")
-    return SceneSpec(object_pos=obj, goal_pos=goal,
-                     grasp_tolerance=sc.grasp_tolerance,
-                     attach_strength=sc.attach_strength,
-                     partial_floor=sc.partial_floor, slip_delay=sc.slip_delay,
-                     seed=_derived_seed(cfg.seed, index))
+    return SceneSpec(object_pos=obj, goal_pos=goal, grasp_tolerance=sc.grasp_tolerance,
+                     attach_strength=sc.attach_strength, partial_floor=sc.partial_floor,
+                     slip_delay=sc.slip_delay, seed=_derived_seed(cfg.seed, index))
 
 
 def _manifest(cfg: PipelineConfig, path, **fields) -> dict:
@@ -244,11 +243,7 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
     verify_stream schedules it."""
     idm_calib, joint_calib, gt_stats = load_calibrations(calib_path)
     predictor = predictor_from_spec(cfg.verifier.predictor, seed=cfg.seed)
-    # each rejection counter, in manifest order, and the report bit it counts
-    rejections = {"semantic_validity": "semantic_valid_failure",
-                  "semantic_visual": "semantic_visual_ok", "idm": "idm_pass",
-                  "joint": "joint_pass", "track": "track_pass"}
-    counts = dict.fromkeys(rejections, 0)
+    counts = dict.fromkeys(VERIFIER_BITS, 0)
     generated = quarantined = rejected = 0
     stats = _Stats()
 
@@ -268,8 +263,8 @@ def cmd_verify(cfg: PipelineConfig, candidates_path, calib_path, out_path,
                 log.warning("quarantining %s: %s", rollout_id, report)
                 quarantined += 1
                 continue
-            for counter, passed in rejections.items():
-                counts[counter] += not getattr(report, passed)
+            for counter, bit in VERIFIER_BITS.items():
+                counts[counter] += not getattr(report, bit)
             if report.track_scores is not None:
                 stats.add_scores(report.track_scores)
             stats.add(mae_xyz=report.idm_mae_xyz, mae_rpy=report.idm_mae_rpy)
@@ -343,9 +338,7 @@ def recover_record(cfg: PipelineConfig, rec: dict,
 def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
                 predictions_path=None, manifest_path=None) -> dict:
     """Replay predicted (or self-paired) corrections and report recovery rate."""
-    preds = None
-    if predictions_path:
-        preds = _load_predictions(predictions_path)
+    preds = _texts_by_id(predictions_path, "pred_text", "prediction") if predictions_path else None
     recovered = 0
 
     def entries():
@@ -370,29 +363,28 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
                      recovered=recovered, recovery_rate=recovered / cases)
 
 
-def _load_predictions(path) -> dict:
-    """{id: pred_text} of a prediction file; each line is an object with a
-    string id and pred_text."""
-    preds = {}
+def _texts_by_id(path, key: str, name: str) -> dict:
+    """{id: text} of a file of name lines, each an object with a string id and
+    a string text under key; an id on two lines is refused once all are read."""
+    texts, repeated = {}, []
     for rec in read_records(path):
-        rec_id, text = read_keys(rec, {"id": str, "pred_text": str}, "prediction")
-        preds[rec_id] = text
-    return preds
+        rec_id, text = read_keys(rec, {"id": str, key: str}, name)
+        if rec_id in texts:
+            repeated.append(rec_id)
+        texts[rec_id] = text
+    if repeated:
+        raise SchemaError(f"{path} repeats ids: {repeated}")
+    return texts
 
 
 def cmd_evaluate(cfg: PipelineConfig, labeled_path, predictions_path,
                  report_path=None) -> dict:
     """Score a prediction file against ground-truth labels."""
-    preds = _load_predictions(predictions_path)
-    pairs = []
-    missing = []
-    for rec in read_records(labeled_path):
-        rec_id, label = read_keys(rec, {"id": str, "label": str}, "labeled record")
-        if rec_id not in preds:
-            missing.append(rec_id)
-            continue
-        pairs.append((rec_id, label, preds[rec_id]))
+    preds = _texts_by_id(predictions_path, "pred_text", "prediction")
+    labels = _texts_by_id(labeled_path, "label", "labeled record")
+    missing = [rec_id for rec_id in labels if rec_id not in preds]
     if missing:
         raise SchemaError(f"prediction file missing ids: {missing}")
+    pairs = [(rec_id, label, preds[rec_id]) for rec_id, label in labels.items()]
     return _manifest(cfg, report_path,
                      **evaluate_dataset(pairs, cap=cfg.cap, delta_k=cfg.delta_k))

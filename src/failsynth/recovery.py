@@ -8,6 +8,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .config import PerturbConfig
 from .core import FailureType, Rollout, step_array
 from .errors import SchemaError, ValidationError
 from .labels import FixLabel
@@ -67,7 +68,7 @@ def map_to_primitives(label: FixLabel, bin_size: float,
 
 
 def apply_primitives(actions, primitives: Sequence[ControlPrimitive],
-                     ramp_window: int = 5) -> np.ndarray:
+                     ramp_window: int = PerturbConfig.window) -> np.ndarray:
     """Edit (T, 7) actions per the predicted primitives; returns a new array.
 
     Translation deltas are distributed over the same ramp window the injector
@@ -89,7 +90,7 @@ def apply_primitives(actions, primitives: Sequence[ControlPrimitive],
 
 def replay_with_recovery(scene: SceneSpec, failed_actions,
                          primitives: Sequence[ControlPrimitive],
-                         ramp_window: int = 5) -> tuple[Rollout, bool]:
+                         ramp_window: int = PerturbConfig.window) -> tuple[Rollout, bool]:
     """Replay the edited trajectory and report the surrogate success bit."""
     edited = apply_primitives(failed_actions, primitives, ramp_window=ramp_window)
     ro = resimulate(scene, edited, rollout_id="recovered")

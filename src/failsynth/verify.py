@@ -11,6 +11,7 @@ from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
+from .config import VerifierConfig
 # state_diff is not called here; perfbench's trace counts calls to verify.state_diff
 from .core import (NUM_JOINTS, Range, Record, Rollout, JointTrace, decode, read_keys,
                    state_diff, state_diffs)
@@ -21,9 +22,6 @@ from .tracks import PointTrackScores, TrackScoreConfig, quantile_sorted, score_t
 from .world import FRANKA_Q_MAX, FRANKA_Q_MIN
 
 CALIBRATION_FORMAT_VERSION = 1
-
-# Radian components are scaled before the mixed-unit error norm.
-DEFAULT_RADIAN_WEIGHT = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,7 @@ class IdmCalibration(Record):
     mae_xyz: Annotated[float, Range(0)]
     mae_rpy: Annotated[float, Range(0)]
     margin: Annotated[float, Range(0)]
-    radian_weight: Annotated[float, Range(0)] = DEFAULT_RADIAN_WEIGHT
+    radian_weight: Annotated[float, Range(0)] = VerifierConfig.radian_weight
 
 
 @dataclass(frozen=True)
@@ -134,9 +132,10 @@ def verify_idm(rollout: Rollout, predictor,
 
 
 def calibrate_idm(success_rollouts: Sequence[Rollout], predictor,
-                  percentile: float = 0.95, d: int = 4, eps: float = 1e-6,
-                  margin: float = 2.0,
-                  radian_weight: float = DEFAULT_RADIAN_WEIGHT) -> IdmCalibration:
+                  percentile: float = VerifierConfig.idm_percentile,
+                  d: int = VerifierConfig.idm_interval, eps: float = VerifierConfig.idm_eps,
+                  margin: float = VerifierConfig.idm_margin,
+                  radian_weight: float = VerifierConfig.radian_weight) -> IdmCalibration:
     """Pool per-sample errors over success demos and set the gate threshold."""
     if not success_rollouts:
         raise ValidationError("cannot calibrate on an empty demo set")
@@ -167,8 +166,8 @@ class JointCalibration(Record):
     tau_a: Annotated[float, Range(0, lo_open=True)]
     p95_v: Annotated[float, Range(0)]
     p95_a: Annotated[float, Range(0)]
-    percentile: Annotated[float, Range(0, 1)] = 0.95
-    margin: Annotated[float, Range(0, lo_open=True)] = 2.0
+    percentile: Annotated[float, Range(0, 1)] = VerifierConfig.joint_percentile
+    margin: Annotated[float, Range(0, lo_open=True)] = VerifierConfig.joint_margin
 
     def __post_init__(self):
         q_min = np.asarray(self.q_min, dtype=float)
@@ -204,7 +203,8 @@ def joint_exceedance(trace: JointTrace, calib: JointCalibration) -> tuple[bool, 
     return bool(np.any(np.abs(qd) > calib.p95_v)), bool(np.any(np.abs(qdd) > calib.p95_a))
 
 
-def calibrate_joints(success_rollouts: Sequence[Rollout], percentile: float = 0.95,
+def calibrate_joints(success_rollouts: Sequence[Rollout],
+                     percentile: float = VerifierConfig.joint_percentile,
                      *, margin: float) -> JointCalibration:
     """Set tau_v/tau_a from pooled |qdot| and |qddot| over success demos; the
     joint limits are the Franka ranges."""
@@ -263,11 +263,10 @@ class VerifierReport(Record):
     retained: bool
 
 
-def gate(semantic_valid_failure: bool, semantic_visual_ok: bool, idm_pass: bool,
-         joint_pass: bool, track_pass: bool) -> bool:
-    """Retention: the conjunction of all verifier pass bits."""
-    return bool(semantic_valid_failure and semantic_visual_ok and idm_pass
-                and joint_pass and track_pass)
+# Each rejection counter, in manifest order, and the report bit it counts; retained is their AND.
+VERIFIER_BITS = {"semantic_validity": "semantic_valid_failure",
+                 "semantic_visual": "semantic_visual_ok", "idm": "idm_pass",
+                 "joint": "joint_pass", "track": "track_pass"}
 
 
 def verify_physical(rollout: Rollout, predictor, idm_calib: IdmCalibration,
@@ -323,10 +322,9 @@ def verify_stream(candidates, predictor, idm_calib: IdmCalibration,
         finally:
             if pending:
                 client.send(pending[0][0])
-        retained = gate(valid_failure, visual_ok, physical["idm_pass"],
-                        physical["joint_pass"], physical["track_pass"])
-        return tag, VerifierReport(rollout_id=rollout_id, semantic_valid_failure=valid_failure,
-                                   semantic_visual_ok=visual_ok, **physical, retained=retained)
+        physical.update(semantic_valid_failure=valid_failure, semantic_visual_ok=visual_ok)
+        retained = all(physical[bit] for bit in VERIFIER_BITS.values())
+        return tag, VerifierReport(rollout_id=rollout_id, **physical, retained=retained)
 
     for rollout, tag in candidates:
         # candidate_clip_ref carries simulator ground truth for the mock judges

@@ -27,6 +27,7 @@ from .errors import ValidationError
 WORKSPACE = (Annotated[float, Range(0.15, 0.75)], Annotated[float, Range(-0.35, 0.35)],
              Annotated[float, Range(0.0, 0.6)])
 TABLE_Z = 0.02
+HORIZON, MIN_HORIZON = 60, 20  # steps of a scripted demo: default, fewest its phases fit
 
 # Published Franka 7-DOF joint ranges (radians); the joint verifier's limits.
 FRANKA_Q_MIN = np.array([-2.8973, -1.7628, -2.8973, -3.0718, -2.8973, -0.0175, -2.8973])
@@ -241,15 +242,15 @@ def _trapezoid_profile(n: int, ramp: int = 3) -> np.ndarray:
     return pos / pos[-1]
 
 
-def script_success(scene: SceneSpec, horizon: int = 60, rollout_id: str = "",
+def script_success(scene: SceneSpec, horizon: int = HORIZON, rollout_id: str = "",
                    task: str = "pick-and-place") -> Rollout:
     """Script a successful approach -> grasp -> transport -> place rollout.
 
     The gripper crosses 0.5 exactly once (downward); outcome is success by
     construction. Deterministic given the scene seed.
     """
-    if horizon < 20:
-        raise ValidationError("horizon must be >= 20")
+    if horizon < MIN_HORIZON:
+        raise ValidationError(f"horizon must be >= {MIN_HORIZON}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(scene.seed),
                                                        spawn_key=(1,)))
     s0 = scene.start_state()

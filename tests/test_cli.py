@@ -734,6 +734,31 @@ class TestMalformedNestedObjects:
         entry = next(read_records(tmp_path / "r.jsonl"))
         assert (entry["recovered"], entry["error"], entry["primitives"]) == (False, error, [])
 
+    @pytest.mark.parametrize("repeated", ["prediction", "labeled"])
+    def test_repeated_id_is_2(self, workdir, tmp_path, capsys, repeated):
+        """A prediction file that repeats an id fails evaluate and recover
+        --predictions, and a labeled file that repeats one fails evaluate,
+        each with exit 2 and a message naming the id: neither a last line
+        nor a second score settles it."""
+        labeled = list(read_records(workdir / "labeled.jsonl"))
+        preds = [{"id": rec["id"], "pred_text": rec["label"]} for rec in labeled]
+        first = labeled[0]["id"]
+        if repeated == "prediction":
+            preds.append({"id": first, "pred_text": "garbage"})
+        else:
+            labeled.append(labeled[0])
+        for name, recs in (("labeled.jsonl", labeled), ("preds.jsonl", preds)):
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in recs))
+        files = ("-i", tmp_path / "labeled.jsonl", "--predictions", tmp_path / "preds.jsonl")
+        stages = [("evaluate", "-o", tmp_path / "eval.json")]
+        if repeated == "prediction":
+            stages.append(("recover", "-o", tmp_path / "r.jsonl"))
+        for stage in stages:
+            assert _run(*stage, *files) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error: ") and repr(first) in err, err
+            assert not (tmp_path / stage[2].name).exists()
+
     @pytest.mark.parametrize("edit, member", [
         pytest.param(lambda rec: rec.pop("label"), "label", id="without-label"),
         pytest.param(lambda rec: rec.update(label=5), "label", id="label-number"),

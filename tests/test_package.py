@@ -98,7 +98,7 @@ def test_every_import_is_read():
 # Module-level names nothing reads yet, each with the plan that will read it;
 # dotted, so that the string here is not itself a read of the name.
 UNREAD_NAMES = {
-    "world.JOINT_MAP_VERSION": "ROADMAP item 8 stamps it into calibration.json",
+    "world.JOINT_MAP_VERSION": "ROADMAP item 10 stamps it into calibration.json",
 }
 
 

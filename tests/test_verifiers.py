@@ -1,5 +1,6 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from failsynth.pipeline import _with_observations, perturb_one
 from failsynth.semantic import MockSemanticVerifier, mock_judgment
 from failsynth.tracks import (TrackScoreConfig, fit_affine, quantile_sorted,
                               score_tracks)
-from failsynth.verify import (IdmCalibration, NoisyPredictor, OraclePredictor,
-                              calibrate_idm, calibrate_joints, gate,
+from failsynth.verify import (VERIFIER_BITS, IdmCalibration, NoisyPredictor, OraclePredictor,
+                              VerifierReport, calibrate_idm, calibrate_joints,
                               load_calibrations, predictor_from_spec, save_calibrations,
                               verify_idm, verify_joints, verify_rollout, verify_stream)
 from failsynth.world import ArtifactSpec, synthesize_observations
@@ -209,9 +210,29 @@ class TestJoints:
 
 
 class TestGate:
-    def test_conjunction_truth_table(self):
-        for bits in itertools.product([False, True], repeat=5):
-            assert gate(*bits) == all(bits)
+    def test_table_names_every_pass_bit(self):
+        """VERIFIER_BITS holds one report bit per verifier check, each once."""
+        names = [f.name for f in fields(VerifierReport)]
+        assert list(VERIFIER_BITS.values()) == [
+            n for n in names if n.endswith("_pass") or n.startswith("semantic_")]
+
+    def test_conjunction_truth_table(self, monkeypatch):
+        """verify_stream retains a candidate exactly when every bit in
+        VERIFIER_BITS is set."""
+        physical = dict(idm_error=0.0, idm_mae_xyz=0.0, idm_mae_rpy=0.0,
+                        joint_violations=(), track_scores=None, track_confident=True)
+        for bits in itertools.product([False, True], repeat=len(VERIFIER_BITS)):
+            report = dict(zip(VERIFIER_BITS.values(), bits))
+            monkeypatch.setattr(verify, "verify_physical", lambda *a: dict(
+                physical, **{k: report[k] for k in ("idm_pass", "joint_pass", "track_pass")}))
+            # the mock judge reads the outcome and the artifacts it is sent
+            rollout = SimpleNamespace(
+                id="c", task="t", outcome="fail" if report["semantic_valid_failure"] else "success",
+                meta={"artifacts": {} if report["semantic_visual_ok"] else {"jitter_px": 1e3}})
+            (_, out), = verify_stream([(rollout, None)], None, None, None,
+                                      MockSemanticVerifier())
+            assert [getattr(out, bit) for bit in VERIFIER_BITS.values()] == list(bits)
+            assert out.retained == all(bits)
 
 
 class TestCalibrationIO:
