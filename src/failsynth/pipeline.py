@@ -343,7 +343,7 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
 
     def entries():
         nonlocal recovered
-        cases = 0
+        cases, seen, repeated = 0, set(), []
         for rec in read_records(labeled_path):
             text = None
             if preds is not None:
@@ -352,9 +352,14 @@ def cmd_recover(cfg: PipelineConfig, labeled_path, out_path,
                     raise SchemaError(f"prediction file missing id {rec_id}")
                 text = preds[rec_id]
             entry = recover_record(cfg, rec, label_text=text)
+            if entry["id"] in seen:
+                repeated.append(entry["id"])
+            seen.add(entry["id"])
             cases += 1
             recovered += entry["recovered"]
             yield entry
+        if repeated:
+            raise SchemaError(f"{labeled_path} repeats ids: {repeated}")
         if not cases:
             raise ValidationError("no cases to recover")
 

@@ -4,10 +4,16 @@ Four complementary scores over a set of 2D tracks with visibility masks:
 motion smoothness, visibility stability, local topology stability, and
 global continuity (per-adjacent-pair affine fits). Each score is clipped to
 [0, 1] and combined into a weighted total used by the retention gate.
+
+A demo's candidates share its first frame, so the kNN graph the topology
+score builds there is kept for the next set (one graph), and the unweighted
+affine fits sum and centre each frame once for both pairs it belongs to.
+Neither changes a bit of any score.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Annotated
 
@@ -126,12 +132,17 @@ def _visibility(masks) -> float:
     return _clip01(1.0 - float(_row_medians(rates)))
 
 
-def _topology(points, masks, cfg: TrackScoreConfig) -> float:
-    vis0 = np.arange(points.shape[0]) if masks is None else np.flatnonzero(masks[:, 0])
+@functools.lru_cache(maxsize=1)
+def _knn_edges(x0: bytes, y0: bytes, vis0: bytes, k: int) -> tuple:
+    """Read-only (ia, ib) track indices of the undirected kNN edges among the
+    first frame's visible points, given as the bytes of their x, their y and
+    their track indices.
+
+    A stage meets a demo's candidates one after another, and they share the
+    demo's first frame, so the last graph asked for is all there is to keep.
+    """
+    x0, y0, vis0 = np.frombuffer(x0), np.frombuffer(y0), np.frombuffer(vis0, np.intp)
     n0 = vis0.size
-    if n0 < cfg.knn_k + 1:
-        return 0.0
-    x0, y0 = points[vis0, 0, 0], points[vis0, 0, 1]
     dmat = np.subtract.outer(x0, x0)
     dmat *= dmat
     dy = np.subtract.outer(y0, y0)
@@ -140,15 +151,24 @@ def _topology(points, masks, cfg: TrackScoreConfig) -> float:
     np.fill_diagonal(dmat, np.inf)
     # argsort's own tie order picks among the regular grid's equidistant
     # neighbours, so the edge set depends on this exact call
-    near = np.argsort(dmat, axis=1)[:, :cfg.knn_k]
+    near = np.argsort(dmat, axis=1)[:, :k]
     here = np.arange(n0)[:, None]
     # undirected edges (min, max) as sorted unique keys min * n0 + max, which
     # are flat indices of an n0 x n0 adjacency
     adj = np.zeros(n0 * n0, dtype=bool)
     adj[np.minimum(here, near) * n0 + np.maximum(here, near)] = True
     keys = np.flatnonzero(adj)
-    ia = vis0[keys // n0]
-    ib = vis0[keys % n0]
+    ia, ib = vis0[keys // n0], vis0[keys % n0]
+    ia.flags.writeable = ib.flags.writeable = False
+    return ia, ib
+
+
+def _topology(points, masks, cfg: TrackScoreConfig) -> float:
+    vis0 = np.arange(points.shape[0]) if masks is None else np.flatnonzero(masks[:, 0])
+    if vis0.size < cfg.knn_k + 1:
+        return 0.0
+    ia, ib = _knn_edges(points[vis0, 0, 0].tobytes(), points[vis0, 0, 1].tobytes(),
+                        vis0.tobytes(), cfg.knn_k)
     # each track's frames are one contiguous row of points
     diff = points.take(ia, axis=0)
     diff -= points.take(ib, axis=0)
@@ -188,23 +208,28 @@ def _affine_fits(src: np.ndarray, dst: np.ndarray, w) -> np.ndarray:
     """Batched fit_affine: one (3, 2) theta per row, fitted over its w points.
 
     src and dst are (F, 2, M) coordinate planes and w is (F, M) bool with at
-    least 3 points per row, or None for every point. Each row is centred on
-    its weighted means and solved through its 2x2 normal equations; a
+    least 3 points per row. With w None, src is instead (F + 1, 2, M) frames
+    and dst is None: row t fits frame t to frame t + 1 over every point, and
+    each frame is summed and centred once. Each row is centred on its
+    weighted means and solved through its 2x2 normal equations; a
     near-singular row (e.g. collinear points) is fitted by fit_affine's
     lstsq instead.
     """
     if w is None:
-        cnt, src_w, dst_w = src.shape[2], src, dst
+        c = src.sum(axis=2, keepdims=True) / src.shape[2]
+        centred = src - c
+        src, dst, cs, cd = src[:-1], src[1:], c[:-1], c[1:]
+        sc, dc = centred[:-1], centred[1:]
     else:
         wf = w[:, None, :].astype(float)
-        cnt, src_w, dst_w = wf.sum(axis=2, keepdims=True), src * wf, dst * wf
-    cs = src_w.sum(axis=2, keepdims=True) / cnt
-    cd = dst_w.sum(axis=2, keepdims=True) / cnt
-    sc = src - cs
-    if w is not None:
+        cnt = wf.sum(axis=2, keepdims=True)
+        cs = (src * wf).sum(axis=2, keepdims=True) / cnt
+        cd = (dst * wf).sum(axis=2, keepdims=True) / cnt
+        sc = src - cs
         sc *= wf
+        dc = dst - cd
     a = sc @ sc.transpose(0, 2, 1)
-    b = sc @ (dst - cd).transpose(0, 2, 1)
+    b = sc @ dc.transpose(0, 2, 1)
     a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
     lmax = (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, a01)
     good = a00 * a11 - a01 * a01 > _MIN_EIG_RATIO * lmax * lmax  # det = lmin * lmax
@@ -237,18 +262,21 @@ def _global_continuity(points, masks, cfg: TrackScoreConfig) -> float:
     planes = points.transpose(1, 2, 0).copy()
     if masks is None:
         # every pair is fitted over every point, given at least 3
-        t = np.arange(planes.shape[0] - 1 if points.shape[0] >= 3 else 0)
+        if points.shape[0] < 3:
+            return 0.0
+        t = np.arange(planes.shape[0] - 1)
         src, dst, w = planes[:-1], planes[1:], None
+        theta = _affine_fits(planes, None, None)
     else:
         # hidden positions zeroed; a pair's fits read only its points visible
         # in both frames
         np.copyto(planes, 0.0, where=~masks.T[:, None, :])
         vis = (masks[:, :-1] & masks[:, 1:]).T
         t = np.flatnonzero(np.count_nonzero(vis, axis=1) >= 3)
+        if t.size == 0:
+            return 0.0
         src, dst, w = planes[t], planes[t + 1], vis[t]
-    if t.size == 0:
-        return 0.0
-    theta = _affine_fits(src, dst, w)
+        theta = _affine_fits(src, dst, w)
     sq = _sq_residuals(src, dst, theta)
     resid = np.sqrt(sq)
     keep = resid <= 3.0 * _row_medians(resid, w)[:, None] + 1e-9

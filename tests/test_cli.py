@@ -737,24 +737,27 @@ class TestMalformedNestedObjects:
     @pytest.mark.parametrize("repeated", ["prediction", "labeled"])
     def test_repeated_id_is_2(self, workdir, tmp_path, capsys, repeated):
         """A prediction file that repeats an id fails evaluate and recover
-        --predictions, and a labeled file that repeats one fails evaluate,
-        each with exit 2 and a message naming the id: neither a last line
-        nor a second score settles it."""
+        --predictions, and a labeled file that repeats one fails evaluate and
+        recover with or without predictions, each with exit 2, a message
+        naming the id and no output: neither a last line nor a second score
+        or replay settles it."""
         labeled = list(read_records(workdir / "labeled.jsonl"))
         preds = [{"id": rec["id"], "pred_text": rec["label"]} for rec in labeled]
         first = labeled[0]["id"]
         if repeated == "prediction":
             preds.append({"id": first, "pred_text": "garbage"})
         else:
-            labeled.append(labeled[0])
+            labeled.insert(0, labeled[0])
         for name, recs in (("labeled.jsonl", labeled), ("preds.jsonl", preds)):
             (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in recs))
-        files = ("-i", tmp_path / "labeled.jsonl", "--predictions", tmp_path / "preds.jsonl")
-        stages = [("evaluate", "-o", tmp_path / "eval.json")]
-        if repeated == "prediction":
-            stages.append(("recover", "-o", tmp_path / "r.jsonl"))
+        labeled_file = ("-i", tmp_path / "labeled.jsonl")
+        files = (*labeled_file, "--predictions", tmp_path / "preds.jsonl")
+        stages = [("evaluate", "-o", tmp_path / "eval.json", *files),
+                  ("recover", "-o", tmp_path / "r.jsonl", *files)]
+        if repeated == "labeled":
+            stages.append(("recover", "-o", tmp_path / "self.jsonl", *labeled_file))
         for stage in stages:
-            assert _run(*stage, *files) == 2
+            assert _run(*stage) == 2
             err = capsys.readouterr().err
             assert err.startswith("schema error: ") and repr(first) in err, err
             assert not (tmp_path / stage[2].name).exists()
