@@ -15,11 +15,12 @@ from dataclasses import field
 from typing import Annotated
 
 from .core import Range, Record, check_order
+from .errors import SchemaError
 from .perturb import OFFSET_CAP, PerturbationSpec
 from .rollout_io import read_json
 from .semantic import DEFAULT_VISUAL_FLOORS
 from .tracks import TrackScoreConfig
-from .world import HORIZON, MIN_HORIZON, WORKSPACE, SceneSpec
+from .world import HORIZON, MIN_HORIZON, WORKSPACE, ArtifactSpec, SceneSpec
 
 
 class SceneConfig(Record):
@@ -67,6 +68,13 @@ class VerifierConfig(Record):
     predictor: str = "oracle"
     visual_floors: dict[str, Annotated[float, Range(0, lo_open=True)]] = field(
         default_factory=lambda: dict(DEFAULT_VISUAL_FLOORS))
+
+    def __post_init__(self):
+        kinds = list(ArtifactSpec.__dataclass_fields__)
+        unknown = sorted(self.visual_floors.keys() - set(kinds))
+        if unknown:
+            raise SchemaError(f"verifier.visual_floors keys {unknown} are no artifact "
+                              f"kinds; want some of {kinds}")
 
 
 class LabelConfig(Record):

@@ -10,7 +10,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Annotated, NamedTuple, Optional, Sequence
+from typing import Annotated, NamedTuple, Optional
 
 import numpy as np
 
@@ -408,22 +408,11 @@ class Rollout:
         return self.states[:, :GRIPPER]
 
 
-def crossings(channel: Sequence[float]) -> list[int]:
-    """Indices t where a gripper channel crosses GRIPPER_THRESHOLD between t-1
-    and t.
-
-    The returned index is the first sample on the new side of the threshold.
-    """
-    g = np.asarray(channel, dtype=float)
-    if g.size < 2:
-        raise ValidationError("need at least 2 samples to detect a crossing")
-    side = g >= GRIPPER_THRESHOLD
-    return [int(t) for t in np.nonzero(side[1:] != side[:-1])[0] + 1]
-
-
 def detect_keyframes(rollout: Rollout) -> list[int]:
-    """Timesteps where the gripper transitions between open and close."""
-    return crossings(rollout.gripper_channel())
+    """Timesteps t where the gripper crosses GRIPPER_THRESHOLD between t-1
+    and t: the first sample on the new side, open or closed."""
+    side = rollout.gripper_channel() >= GRIPPER_THRESHOLD
+    return [int(t) for t in np.nonzero(side[1:] != side[:-1])[0] + 1]
 
 
 def state_diff(rollout: Rollout, t: int, d: int) -> np.ndarray:

@@ -121,11 +121,9 @@ def apply_perturbation(actions, spec: PerturbationSpec) -> np.ndarray:
         clamp_gripper(out, k + w + 1, lo=GRIPPER_THRESHOLD, hi=np.inf, fill=1.0)
         return out
 
-    if ft is FailureType.translation:
-        ramp_translation(out, k, w, spec.offset_x, spec.offset_y)
-        return out
-
-    raise ValidationError(f"unknown failure type {ft!r}")
+    # translation: failure_type is a FailureType, so nothing else is left
+    ramp_translation(out, k, w, spec.offset_x, spec.offset_y)
+    return out
 
 
 def inject_delay_close(rollout: Rollout, keyframe: int, delay_steps: int,

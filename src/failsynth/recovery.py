@@ -29,13 +29,11 @@ class GripperClose:
     strength: float
 
 
-@dataclass(frozen=True)
-class Reclose:
-    at: int
-    strength: float
+class Reclose(GripperClose):
+    """The second, stronger close that follows a weak one."""
 
 
-ControlPrimitive = Union[TranslateDelta, GripperClose, Reclose]
+ControlPrimitive = Union[TranslateDelta, GripperClose]  # Reclose is a GripperClose
 
 RECLOSE_DELAY = 3
 RECLOSE_STRENGTH_BUMP = 0.2
@@ -82,7 +80,7 @@ def apply_primitives(actions, primitives: Sequence[ControlPrimitive],
             raise ValidationError(f"primitive anchor {prim.at} outside horizon {n}")
         if isinstance(prim, TranslateDelta):
             ramp_translation(out, prim.at, ramp_window, prim.dx, prim.dy)
-        else:  # GripperClose / Reclose
+        else:  # GripperClose, Reclose included
             closed = 1.0 - prim.strength
             clamp_gripper(out, prim.at, lo=-np.inf, hi=closed, fill=closed)
     return out

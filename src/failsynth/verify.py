@@ -37,27 +37,24 @@ class OraclePredictor:
         return true
 
 
+@dataclass(frozen=True)
 class NoisyPredictor:
-    """Oracle plus deterministic per-sample Gaussian noise.
+    """Oracle plus deterministic Gaussian noise.
 
-    Noise is seeded from (seed, rollout id, t, d) so verification order
-    cannot change the result.
+    One generator, seeded from (seed, rollout id, d), draws a rollout's whole
+    noise block, so verification order cannot change the result.
     """
 
-    def __init__(self, sigma_xyz: float = 0.0, sigma_rpy: float = 0.0, seed: int = 0):
-        self.sigma_xyz = sigma_xyz
-        self.sigma_rpy = sigma_rpy
-        self.seed = seed
-
-    def _noise(self, rollout_id: str, t: int, d: int) -> np.ndarray:
-        key = zlib.crc32(f"{rollout_id}:{t}:{d}".encode())
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed,
-                                                           spawn_key=(4, key)))
-        return np.concatenate([rng.normal(0.0, self.sigma_xyz, 3),
-                               rng.normal(0.0, self.sigma_rpy, 3)])
+    sigma_xyz: float = 0.0
+    sigma_rpy: float = 0.0
+    seed: int = 0
 
     def batch(self, rollout: Rollout, d: int, true: np.ndarray) -> np.ndarray:
-        return true + np.stack([self._noise(rollout.id, t, d) for t in range(len(true))])
+        key = zlib.crc32(f"{rollout.id}:{d}".encode())
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed,
+                                                           spawn_key=(4, key)))
+        sigma = np.repeat([self.sigma_xyz, self.sigma_rpy], 3)
+        return true + rng.normal(0.0, sigma, size=true.shape)
 
 
 def predictor_from_spec(spec: str, seed: int = 0):

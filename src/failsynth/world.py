@@ -242,8 +242,7 @@ def _trapezoid_profile(n: int, ramp: int = 3) -> np.ndarray:
     return pos / pos[-1]
 
 
-def script_success(scene: SceneSpec, horizon: int = HORIZON, rollout_id: str = "",
-                   task: str = "pick-and-place") -> Rollout:
+def script_success(scene: SceneSpec, horizon: int = HORIZON, rollout_id: str = "") -> Rollout:
     """Script a successful approach -> grasp -> transport -> place rollout.
 
     The gripper crosses 0.5 exactly once (downward); outcome is success by
@@ -279,7 +278,7 @@ def script_success(scene: SceneSpec, horizon: int = HORIZON, rollout_id: str = "
     actions[:, 5] = wrap_angle(yaw[1:] - yaw[:-1])
     actions[:, GRIPPER] = 1.0
     actions[k_close:, GRIPPER] = 0.0
-    ro = resimulate(scene, actions, rollout_id=rollout_id, task=task)
+    ro = resimulate(scene, actions, rollout_id=rollout_id)
     if ro.outcome != "success":
         raise ValidationError("scripted demonstration did not reach the goal; "
                               "scene geometry is unreachable")

@@ -196,6 +196,24 @@ class TestDeterminism:
         assert (tmp_path / "demos.jsonl").read_bytes() != \
             (workdir / "demos.jsonl").read_bytes()
 
+    def test_noisy_verdicts_do_not_depend_on_order(self, workdir, tmp_path):
+        """Under a noisy: predictor each retained candidate carries the same
+        verifier member whether the candidate file is read in order or reversed."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"verifier": {"predictor": "noisy:0.002,0.01"}}))
+        assert _run("calibrate", "-i", workdir / "demos.jsonl", "-o", tmp_path / "calib.json",
+                    "--config", cfgfile, "--seed", 11) == 0
+        lines = (workdir / "cands.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "reversed.jsonl").write_text("".join(reversed(lines)))
+        members = []
+        for cands in (workdir / "cands.jsonl", tmp_path / "reversed.jsonl"):
+            out = tmp_path / "retained.jsonl"
+            assert _run("verify", "-i", cands, "--calibration", tmp_path / "calib.json",
+                        "-o", out, "--config", cfgfile, "--seed", 11) == 0
+            members.append({rec["id"]: rec["meta"]["verifier"] for rec in read_records(out)})
+        assert members[0] == members[1]
+        assert members[0] and all(m["idm_mae_xyz"] > 0 for m in members[0].values())
+
 
 class TestExitCodes:
     def test_schema_error_is_2(self, workdir, tmp_path):
@@ -395,6 +413,24 @@ class TestExitCodes:
         assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
                     "--config", cfgfile) == 2
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floors", [{"jiter_px": 0.1},
+                                        {"jitter_px": 0.1, "jiter_px": 0.1, "blur": 1.0}])
+    def test_unknown_visual_floor_is_2(self, tmp_path, capsys, floors):
+        """A verifier.visual_floors key that is no artifact kind is a schema
+        error naming it and the kinds; a partial floor dict stays valid."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"verifier": {"visual_floors": floors}}))
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: verifier.visual_floors keys ")
+        assert "'jiter_px'" in err and "'joint_spike'" in err
+        assert "'jitter_px'" not in err.split(" are ")[0]
+        assert not (tmp_path / "d.jsonl").exists()
+        cfgfile.write_text(json.dumps({"verifier": {"visual_floors": {"jitter_px": 0.1}}}))
+        assert _run("generate", "-n", 1, "-o", tmp_path / "d.jsonl",
+                    "--config", cfgfile) == 0
 
     def test_int_for_float_and_list_for_tuple_accepted(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

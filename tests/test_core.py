@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from failsynth.core import (GRIPPER, FailureType, JointTrace, Rollout, TrackSet,
-                            crossings, detect_keyframes, state_diff, step_array,
-                            wrap_angle)
+                            detect_keyframes, state_diff, step_array, wrap_angle)
 from failsynth.errors import SchemaError, ValidationError
 from failsynth.perturb import PerturbationSpec
 from failsynth.tracks import PointTrackScores
@@ -142,24 +141,27 @@ class TestJointTraceAndTracks:
         TrackSet(pts, masks)
 
 
+def _keyframes(channel):
+    """detect_keyframes of a rollout whose gripper column is channel."""
+    return detect_keyframes(Rollout(id="r", task="t",
+                                    states=[_state(gripper=g) for g in channel],
+                                    actions=[_noop()] * (len(channel) - 1)))
+
+
 class TestCrossings:
     def test_single_closing(self):
-        assert crossings([1.0, 1.0, 0.0, 0.0]) == [2]
+        assert _keyframes([1.0, 1.0, 0.0, 0.0]) == [2]
 
     def test_multiple(self):
-        assert crossings([1.0, 0.0, 1.0]) == [1, 2]
+        assert _keyframes([1.0, 0.0, 1.0]) == [1, 2]
 
     def test_none(self):
-        assert crossings([1.0, 1.0]) == []
+        assert _keyframes([1.0, 1.0]) == []
 
     def test_boundary_sample_counts_as_open_side(self):
         # g == threshold (0.5) sits on the >= side, so the crossing lands one later
-        assert crossings([1.0, 0.5, 0.0]) == [2]
-        assert crossings([0.4, 0.5]) == [1]
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValidationError):
-            crossings([1.0])
+        assert _keyframes([1.0, 0.5, 0.0]) == [2]
+        assert _keyframes([0.4, 0.5]) == [1]
 
 
 class TestKeyframesAndDiff:

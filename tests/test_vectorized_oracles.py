@@ -164,11 +164,16 @@ def observations_loop(rollout, scene, artifacts, seed):
 
 
 def noisy_loop(sigma_xyz, sigma_rpy, seed):
-    """Per-(id, t, d) seeded noisy predictor, one step per call."""
+    """Noisy predictor, one step per call: one generator per (seed, id, d),
+    drawn from in step order."""
+    rngs = {}
+
     def predict(rollout, t, d):
-        key = zlib.crc32(f"{rollout.id}:{t}:{d}".encode())
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(4, key)))
+        if (rollout.id, d) not in rngs:
+            key = zlib.crc32(f"{rollout.id}:{d}".encode())
+            rngs[rollout.id, d] = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(4, key)))
+        rng = rngs[rollout.id, d]
         noise = np.concatenate([rng.normal(0.0, sigma_xyz, 3),
                                 rng.normal(0.0, sigma_rpy, 3)])
         return state_diff(rollout, t, d) + noise
